@@ -36,7 +36,6 @@ from .catalog import (
 from .forward import HeatProblem, solve_heat, solve_mode, trace
 from .asymptotics import (
     TwoTermExpansion,
-    compose,
     corrector,
     initial_layer,
     leading_term,
@@ -50,7 +49,6 @@ from .volterra import (
     VolterraProblem,
     build_kernel,
     convergence_order,
-    discrete_residual,
 )
 from .volterra import solve as solve_volterra
 from .inverse import (
@@ -110,7 +108,6 @@ __all__ = [
     "leading_term",
     "corrector",
     "initial_layer",
-    "compose",
     "residual_norm",
     "Kernel",
     "VolterraProblem",
@@ -119,7 +116,6 @@ __all__ = [
     "ConvergenceReport",
     "build_kernel",
     "solve_volterra",
-    "discrete_residual",
     "convergence_order",
     "TraceObservation",
     "SnapshotObservation",

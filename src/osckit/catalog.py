@@ -29,6 +29,7 @@ __all__ = [
     "duhamel_oscillatory",
     "duhamel_slow",
     "exp_kernel_moment",
+    "sine_synthesis",
 ]
 
 # Relative window around gamma = -n^2 in which the symbolic Duhamel
@@ -369,13 +370,10 @@ class SineSeries:
 
     def evaluate_grid(self, x, t) -> np.ndarray:
         """Values on the tensor grid, shape ``(len(x), len(t))``."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.zeros((x.size, t.size))
-        for n, coeff in self.modes.items():
-            ct = coeff(t) if isinstance(coeff, SlowFunction) else np.asarray(coeff(t), float)
-            out += np.outer(np.sin(n * x), np.broadcast_to(ct, t.shape))
-        return out
+        rows = [np.broadcast_to(np.asarray(c(t), float), t.shape)
+                for c in self.modes.values()]
+        return sine_synthesis(x, list(self.modes), np.reshape(rows, (-1, t.size)))
 
     def at_x(self, x0: float) -> SlowFunction:
         """The slow trace ``t -> u(x0, t)`` (catalog coefficients only)."""
@@ -419,6 +417,12 @@ class SourceFactor:
 # ---------------------------------------------------------------------------
 # grid functions
 # ---------------------------------------------------------------------------
+
+def sine_synthesis(x, modes, amplitudes) -> np.ndarray:
+    """``sum_i sin(modes[i] x) a_i(t)`` as one product ``sin(outer(x, modes)) @ a``."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return np.sin(np.outer(x, modes)) @ amplitudes
+
 
 @dataclass
 class GridFunction:
@@ -486,10 +490,14 @@ def _converged_coefficients(sample, n_max: int, quadrature_points: int | None,
     for _ in range(8):
         panels *= 2
         cur = _coefficients_once(sample, n_max, panels)
-        if np.max(np.abs(cur - prev)) < tol:
+        gap = float(np.max(np.abs(cur - prev)))
+        if gap < tol:
             return cur
         prev = cur
-    return prev
+    raise ValueError(
+        f"sine coefficients did not converge: successive passes agree to "
+        f"{gap:.3e} at {panels} panels, tol {tol:.1e}"
+    )
 
 
 def sine_coefficients(func, n_max: int, quadrature_points: int | None = None,
@@ -513,23 +521,32 @@ def sine_coefficients_in_time(func, n_max: int, quadrature_points: int | None = 
     """Sine coefficients ``(2/pi) * integral_0^pi f(x, t) sin(n x) dx`` of ``f(x, t)``.
 
     ``func`` is called as ``func(x, t)``.  Mode ``n`` of the result is a
-    plain callable of ``t`` (scalar or array) that reruns the quadrature of
+    plain callable of ``t`` (scalar or array) that runs the quadrature of
     ``sine_coefficients`` at each requested time, so the series is sampled
     data outside the exact catalog: ``SineSeries.is_catalog`` is false and
-    the exact transforms raise ``CatalogError``.
+    the exact transforms raise ``CatalogError``.  One quadrature pass per
+    distinct time serves every mode: the modes share the coefficient table
+    of the most recently requested times.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    memo = [None]  # (key, table) of the most recent request
 
-    def at(t: float) -> np.ndarray:
-        return _converged_coefficients(lambda x: func(x, t), n_max, quadrature_points, tol)
+    def table(tv: np.ndarray) -> np.ndarray:
+        key = (tv.shape, tv.tobytes())
+        hit = memo[0]
+        if hit is None or hit[0] != key:
+            times, where = np.unique(tv, return_inverse=True)
+            rows = np.array([_converged_coefficients(lambda x: func(x, ti), n_max,
+                                                     quadrature_points, tol)
+                             for ti in times.tolist()]).reshape(-1, n_max)
+            hit = memo[0] = (key, rows[where.reshape(tv.shape)])
+        return hit[1]
 
     def make_coeff(n):
         def coeff(t):
-            tv = np.asarray(t, dtype=float)
-            if tv.ndim == 0:
-                return at(float(tv))[n - 1]
-            return np.array([at(ti)[n - 1] for ti in tv])
+            out = table(np.asarray(t, dtype=float))[..., n - 1]
+            return float(out) if out.ndim == 0 else out
         return coeff
 
     return SineSeries({n: make_coeff(n) for n in range(1, n_max + 1)})

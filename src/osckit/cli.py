@@ -13,18 +13,7 @@ import argparse
 import os
 import sys
 
-
-def _apply_thread_cap():
-    cap = os.environ.get("OSK_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
-_apply_thread_cap()  # before numpy comes in through the scenario layer
-
-from . import scenarios  # noqa: E402
+from . import scenarios  # the package __init__ has applied OSK_THREADS
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,12 +20,15 @@ import numpy as np
 from .catalog import (
     GridFunction,
     SineSeries,
+    SlowFunction,
     SourceFactor,
     duhamel_oscillatory,
     duhamel_weight,
+    sine_synthesis,
 )
 
-__all__ = ["HeatProblem", "solve_mode", "solve_heat", "trace"]
+__all__ = ["HeatProblem", "mode_amplitudes", "oscillatory_amplitudes", "solve_mode",
+           "solve_heat", "trace"]
 
 
 @dataclass(frozen=True)
@@ -51,52 +54,46 @@ class HeatProblem:
         return [n for n in self.envelope.modes if n <= self.n_max]
 
 
-def _mode_values_closed(problem: HeatProblem, n: int, t: np.ndarray) -> np.ndarray:
-    fn = problem.envelope.coefficient(n)
-    if fn.is_zero:
-        return np.zeros(t.shape)
-    out = np.zeros(t.shape)
-    mean = problem.factor.mean
-    if not mean.is_zero:
-        out = out + duhamel_weight(n, fn * mean, t)
-    for k, a, b in problem.factor.oscillation.harmonics:
-        freq = k * problem.omega
-        if not a.is_zero:
-            out = out + duhamel_oscillatory(n, fn * a, freq, t).real
-        if not b.is_zero:
-            out = out + duhamel_oscillatory(n, fn * b, freq, t).imag
+def oscillatory_amplitudes(problem: HeatProblem, modes, t: np.ndarray) -> np.ndarray:
+    """Closed-form Duhamel part of ``u_n(t)`` driven by the oscillation ``r - r0``.
+
+    One row per entry of ``modes``; exponential moments are taken per
+    (mode, harmonic, term).
+    """
+    out = np.zeros((len(modes), t.size))
+    for row, n in zip(out, modes):
+        fn = problem.envelope.coefficient(n)
+        for k, a, b in problem.factor.oscillation.harmonics:
+            freq = k * problem.omega
+            if not a.is_zero:
+                row += duhamel_oscillatory(n, fn * a, freq, t).real
+            if not b.is_zero:
+                row += duhamel_oscillatory(n, fn * b, freq, t).imag
     return out
 
 
-def _mode_values_quadrature(problem: HeatProblem, n: int, t: np.ndarray,
-                            step: float) -> np.ndarray:
+def _amplitudes_quadrature(problem: HeatProblem, modes, t: np.ndarray,
+                           step: float) -> tuple[np.ndarray, np.ndarray]:
     """Exponential-integrator marching with per-panel Gauss quadrature.
 
-    Marches u' = -n^2 u + q on panels no wider than ``step``; each panel
-    integral of e^{-n^2 (t_{i+1}-s)} q(s) uses 8-point Gauss-Legendre.
+    Marches u' = -n^2 u + q for every mode at once on panels no wider than
+    ``step``; each panel integral of e^{-n^2 (t_{i+1}-s)} q(s) uses 8-point
+    Gauss-Legendre, for the mean and the oscillatory forcing separately.
     """
     if step > math.pi / (2.0 * problem.omega):
         raise ValueError(
             "quadrature step does not resolve the oscillation: "
             f"step {step:g} > pi/(2 omega) = {math.pi / (2 * problem.omega):g}"
         )
-    fn = problem.envelope.modes.get(n)
-    if fn is None:
-        return np.zeros(t.shape)
+    coeffs = [problem.envelope.modes.get(n, SlowFunction.zero()) for n in modes]
     factor = problem.factor
-    omega = problem.omega
-
-    def forcing(s):
-        return np.asarray(fn(s), dtype=float) * factor(s, omega * s)
-
+    n2 = np.array([float(n * n) for n in modes])[:, None]
     ref_x, ref_w = np.polynomial.legendre.leggauss(8)
-    order = np.argsort(t)
-    t_sorted = t[order]
-    out_sorted = np.empty_like(t_sorted)
-    u = 0.0
+    out = np.zeros((2, len(modes), t.size))
+    u = np.zeros((2, len(modes)))
     pos = 0.0
-    n2 = float(n * n)
-    for idx, target in enumerate(t_sorted):
+    for idx in np.argsort(t):
+        target = t[idx]
         span = target - pos
         if span > 0:
             panels = max(1, int(math.ceil(span / step)))
@@ -105,13 +102,38 @@ def _mode_values_quadrature(problem: HeatProblem, n: int, t: np.ndarray,
             mid = (edges[:-1] + edges[1:]) / 2.0
             nodes = (mid[:, None] + half[:, None] * ref_x[None, :]).ravel()
             weights = (half[:, None] * ref_w[None, :]).ravel()
-            vals = forcing(nodes) * np.exp(-n2 * (target - nodes))
-            u = u * math.exp(-n2 * span) + float(weights @ vals)
+            fn = np.reshape([np.broadcast_to(np.asarray(c(nodes), float), nodes.shape)
+                             for c in coeffs], (-1, nodes.size))
+            kernel = fn * np.exp(-n2 * (target - nodes)) * weights
+            drive = (factor.mean(nodes), factor.oscillation(nodes, problem.omega * nodes))
+            u = u * np.exp(-n2[:, 0] * span) + np.stack([kernel @ d for d in drive])
             pos = target
-        out_sorted[idx] = u
-    out = np.empty_like(out_sorted)
-    out[order] = out_sorted
-    return out
+        out[:, :, idx] = u
+    return out[0], out[1]
+
+
+def mode_amplitudes(problem: HeatProblem, modes, t: np.ndarray, method: str = "auto",
+                    quadrature_step: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and oscillatory Duhamel parts of ``u_n(t)`` for each of ``modes``.
+
+    Returns two ``(len(modes), len(t))`` arrays whose sum is ``u_n(t)``: the
+    part driven by the mean ``r0`` and the part driven by the oscillation
+    ``r - r0``.  Catalog envelopes take the closed forms; sampled ones take
+    the marching quadrature, which fills the same two arrays.
+    """
+    if method == "auto":
+        method = "closed" if problem.envelope.is_catalog else "quadrature"
+    if method == "closed":
+        mean = [duhamel_weight(n, problem.envelope.coefficient(n) * problem.factor.mean, t)
+                for n in modes]
+        return (np.reshape(mean, (-1, t.size)),
+                oscillatory_amplitudes(problem, modes, t))
+    if method == "quadrature":
+        step = quadrature_step
+        if step is None:
+            step = 2.0 * math.pi / (32.0 * problem.omega)
+        return _amplitudes_quadrature(problem, modes, t, step)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def solve_mode(problem: HeatProblem, n: int, t, method: str = "auto",
@@ -120,20 +142,9 @@ def solve_mode(problem: HeatProblem, n: int, t, method: str = "auto",
     if not 1 <= n <= problem.n_max:
         raise ValueError(f"mode {n} outside 1..{problem.n_max}")
     arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if method == "auto":
-        method = "closed" if problem.envelope.is_catalog else "quadrature"
-    if method == "closed":
-        out = _mode_values_closed(problem, n, arr)
-    elif method == "quadrature":
-        step = quadrature_step
-        if step is None:
-            step = 2.0 * math.pi / (32.0 * problem.omega)
-        out = _mode_values_quadrature(problem, n, arr, step)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return float(out[0]) if scalar else out
+    mean, osc = mode_amplitudes(problem, [n], arr.ravel(), method, quadrature_step)
+    out = (mean[0] + osc[0]).reshape(arr.shape)
+    return float(out) if arr.ndim == 0 else out
 
 
 def _tail_estimate(problem: HeatProblem, horizon: float) -> float:
@@ -153,10 +164,9 @@ def solve_heat(problem: HeatProblem, x_count: int, t_count: int,
         raise ValueError("grid counts must be >= 2")
     x = np.linspace(0.0, math.pi, x_count)
     t = np.linspace(0.0, problem.horizon, t_count)
-    values = np.zeros((x_count, t_count))
-    for n in problem.active_modes:
-        mode = solve_mode(problem, n, t, method=method)
-        values += np.outer(np.sin(n * x), mode)
+    modes = problem.active_modes
+    mean, osc = mode_amplitudes(problem, modes, t, method)
+    values = sine_synthesis(x, modes, mean + osc)
     meta = {"omega": problem.omega, "n_max": problem.n_max, "warnings": []}
     tail = _tail_estimate(problem, problem.horizon)
     meta["tail_estimate"] = tail

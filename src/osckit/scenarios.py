@@ -502,14 +502,11 @@ def run(scenario: Scenario) -> RunReport:
 def _csv_rows(report: RunReport) -> tuple[list[str], list[list]]:
     kind = report.kind
     r = report.results
-    if kind in ("asymptotics",):
+    if kind in ("asymptotics", "convergence"):
         cols = ["omega", "residual_order1", "residual_order2",
                 "omega_times_residual2"]
-        return cols, [[r[c] for c in cols]]
-    if kind == "convergence":
-        cols = ["omega", "residual_order1", "residual_order2",
-                "omega_times_residual2"]
-        return cols, [[row[c] for c in cols] for row in r["ladder"]]
+        ladder = r["ladder"] if kind == "convergence" else [r]
+        return cols, [[row[c] for c in cols] for row in ladder]
     if kind == "forward":
         if "trace" in r:
             tr = r["trace"]

@@ -23,7 +23,6 @@ __all__ = [
     "VolterraProblem",
     "build_kernel",
     "solve",
-    "discrete_residual",
     "convergence_order",
     "ConvergenceReport",
     "SeparableResolvent",
@@ -155,24 +154,6 @@ def solve(problem: VolterraProblem) -> GridFunction:
             acc = 0.5 * row[0] * l[0] + row[1:i] @ l[1:i]
             l[i] = (mu[i] - h * acc) / den
     return GridFunction((t,), l, {"intervals": problem.intervals, "h": h})
-
-
-def discrete_residual(problem: VolterraProblem, solution: GridFunction) -> np.ndarray:
-    """Defect of the grid solution under the same trapezoid quadrature."""
-    t = problem.grid()
-    h = problem.horizon / problem.intervals
-    g = _sample(problem.diagonal, t, "diagonal")
-    mu = _sample(problem.rhs, t, "rhs")
-    l = solution.values
-    kernel = problem.kernel
-    res = np.empty(t.size)
-    res[0] = g[0] * l[0] - mu[0]
-    for i in range(1, t.size):
-        row = np.asarray(kernel(t[i], t[: i + 1]), dtype=float)
-        weights = np.full(i + 1, h)
-        weights[0] = weights[i] = h / 2.0
-        res[i] = g[i] * l[i] + weights @ (row * l[: i + 1]) - mu[i]
-    return res
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,20 @@
 Everything here deliberately avoids the closed-form paths under test:
 Duhamel integrals are done by direct composite Gauss-Legendre quadrature
 resolving the fast phase, derivatives by central differences, fast means by
-trapezoid over one period.
+trapezoid over one period.  Sine sums are accumulated one ``np.outer`` term
+per mode, and the two-term remainder is the full forward field minus the
+expansion's grid values, independent of the library's single synthesis
+product and its mode-by-mode remainder.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
+
+from osckit.asymptotics import resolving_time_count
+from osckit.catalog import GridFunction
+from osckit.forward import solve_heat
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 
@@ -72,3 +79,49 @@ def fast_mean(profile, t: float, samples: int = 4096) -> float:
 
 def central_derivative(func, point: float, h: float = 1e-5) -> float:
     return (func(point + h) - func(point - h)) / (2.0 * h)
+
+
+def outer_sum(x, t, modes, amplitude) -> np.ndarray:
+    """sum_n sin(n x) a_n(t), one np.outer accumulation per mode."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.zeros((x.size, t.size))
+    for n in modes:
+        out += np.outer(np.sin(n * x), np.broadcast_to(amplitude(n), t.shape))
+    return out
+
+
+def grid_remainder(problem, expansion, order: int, x_count: int = 65,
+                   t_count: int | None = None) -> float:
+    """Sup of |u - expansion| from the full forward field on a resolving grid."""
+    if t_count is None:
+        t_count = resolving_time_count(problem.omega, problem.horizon)
+    u = solve_heat(problem, x_count, t_count)
+    x, t = u.axes
+    approx = expansion.evaluate_grid(x, t, problem.omega, order=order)
+    return float(np.max(np.abs(u.values - approx)))
+
+
+def compose(expansion, omega: float, x_count: int, t_count: int, horizon: float):
+    """Grid values of ``u0 + (u1 + v1)/omega`` on [0, pi] x [0, horizon]."""
+    x = np.linspace(0.0, math.pi, x_count)
+    t = np.linspace(0.0, horizon, t_count)
+    return GridFunction((x, t), expansion.evaluate_grid(x, t, omega, order=2),
+                        {"omega": omega})
+
+
+def discrete_residual(problem, solution) -> np.ndarray:
+    """Defect of a Volterra grid solution under the same trapezoid quadrature."""
+    t = problem.grid()
+    h = problem.horizon / problem.intervals
+    g = np.broadcast_to(problem.diagonal(t), t.shape)
+    mu = np.broadcast_to(problem.rhs(t), t.shape)
+    l = solution.values
+    res = np.empty(t.size)
+    res[0] = g[0] * l[0] - mu[0]
+    for i in range(1, t.size):
+        row = np.asarray(problem.kernel(t[i], t[: i + 1]), dtype=float)
+        weights = np.full(i + 1, h)
+        weights[0] = weights[i] = h / 2.0
+        res[i] = g[i] * l[i] + weights @ (row * l[: i + 1]) - mu[i]
+    return res

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import osckit.asymptotics as asymptotics
+import osckit.catalog as catalog
 from osckit.asymptotics import (
     TwoTermExpansion,
-    compose,
     corrector,
     initial_layer,
     leading_term,
@@ -17,7 +18,7 @@ from osckit.asymptotics import (
 from osckit.catalog import FastProfile, SineSeries, SlowFunction, SourceFactor
 from osckit.forward import HeatProblem
 
-from _oracles import central_derivative
+from _oracles import central_derivative, compose, grid_remainder, outer_sum
 
 ENVELOPE = SineSeries({1: 1.0, 2: 1.0})
 LINEAR_MEAN = SlowFunction.monomial(1.0, 1)
@@ -204,3 +205,117 @@ class TestResidualNorm:
 
     def test_resolving_count_scales_with_omega(self):
         assert resolving_time_count(2.0 * math.pi * 100.0, 1.0) >= 1601
+
+    def test_unresolvable_omega_rejected_before_any_work(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(asymptotics, "oscillatory_amplitudes",
+                            lambda *a: calls.append("amplitudes"))
+        monkeypatch.setattr(catalog, "exp_kernel_moment",
+                            lambda *a: calls.append("moment"))
+        problem = reference_problem(1e6)
+        for order in (1, 2):
+            with pytest.raises(ValueError, match="MAX_TIME_NODES"):
+                residual_norm(problem, order=order)
+            with pytest.raises(ValueError, match="MAX_TIME_NODES"):
+                residual_norm(problem, order=order, t_count=10**7)
+        assert calls == []
+
+
+def rich_problem(omega, n_max=32):
+    envelope = SineSeries({1: SlowFunction([(1.0, 0, 0.0), (0.5, 1, -1.0)]),
+                           2: 0.7, 3: SlowFunction.monomial(0.3, 2), 5: -0.2})
+    mean = SlowFunction([(1.0, 1, 0.0), (0.5, 0, -2.0)])
+    oscillation = FastProfile([(1, 0.3, 1.0), (2, SlowFunction.monomial(0.5, 1), 0.0)])
+    return HeatProblem(envelope, SourceFactor(mean, oscillation), omega, 1.0, n_max)
+
+
+class TestModalRemainder:
+    """residual_norm against the grid remainder it replaced."""
+
+    @pytest.mark.parametrize("omega", [64.0, 128.0, 256.0, 512.0])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_reference_ladder_matches_grid_remainder(self, omega, order):
+        problem = reference_problem(omega)
+        expansion = TwoTermExpansion.for_problem(problem)
+        want = grid_remainder(problem, expansion, order, x_count=33)
+        got = residual_norm(problem, expansion, order=order, x_count=33)
+        assert abs(got - want) < 1e-14
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_rich_problem_matches_grid_remainder(self, order):
+        problem = rich_problem(2500.0)
+        expansion = TwoTermExpansion.for_problem(problem)
+        want = grid_remainder(problem, expansion, order)
+        assert abs(residual_norm(problem, expansion, order=order) - want) < 1e-14
+
+    def test_steady_source_matches_grid_remainder(self):
+        problem = HeatProblem(ENVELOPE, SourceFactor.steady(LINEAR_MEAN), 100.0, 1.0)
+        expansion = TwoTermExpansion.for_problem(problem)
+        for order in (1, 2):
+            want = grid_remainder(problem, expansion, order, x_count=17)
+            got = residual_norm(problem, expansion, order=order, x_count=17)
+            assert abs(got - want) < 1e-14
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_foreign_expansion_matches_grid_remainder(self, order):
+        problem = rich_problem(1000.0, n_max=4)
+        other_mean = SlowFunction([(1.1, 1, 0.0), (0.2, 0, -3.0)])
+        other = TwoTermExpansion.build(SineSeries({1: 1.0, 2: 0.5, 7: 0.1}),
+                                       other_mean, SINE_OSC, n_max=8)
+        want = grid_remainder(problem, other, order)
+        got = residual_norm(problem, other, order=order)
+        assert want > 1e-2  # the mismatch is really there
+        assert abs(got - want) < 1e-14
+
+    def test_own_expansion_moments_are_oscillatory_only(self, monkeypatch):
+        problem = rich_problem(500.0)
+        calls = []
+        moment = catalog.exp_kernel_moment
+
+        def counted(power, rate, decay, t):
+            calls.append((power, rate, decay))
+            return moment(power, rate, decay, t)
+
+        monkeypatch.setattr(catalog, "exp_kernel_moment", counted)
+        expected = 0
+        for n in problem.active_modes:
+            fn = problem.envelope.coefficient(n)
+            for _, a, b in problem.factor.oscillation.harmonics:
+                expected += sum(len((fn * c).terms) for c in (a, b) if not c.is_zero)
+        for order in (1, 2):
+            calls.clear()
+            residual_norm(problem, order=order)
+            assert len(calls) == expected
+            assert all(complex(rate).imag != 0.0 for _, rate, _ in calls)
+
+
+class TestSynthesis:
+    """The grid methods against the per-mode np.outer sums they replaced."""
+
+    X = np.linspace(0.0, math.pi, 17)
+    T = np.linspace(0.0, 2.0, 33)
+
+    def test_leading_term_grids(self):
+        problem = rich_problem(10.0)
+        u0 = leading_term(problem.envelope, problem.factor.mean)
+        x, t = self.X, self.T
+        assert np.max(np.abs(u0.evaluate_grid(x, t) - outer_sum(
+            x, t, u0.modes, lambda n: u0.mode_amplitude(n, t)))) < 1e-14
+        assert np.max(np.abs(u0.time_derivative_grid(x, t) - outer_sum(
+            x, t, u0.modes,
+            lambda n: u0.mode_amplitude_slow(n).derivative()(t)))) < 1e-14
+        assert np.max(np.abs(u0.xx_derivative_grid(x, t) - outer_sum(
+            x, t, u0.modes, lambda n: -n * n * u0.mode_amplitude(n, t)))) < 1e-14
+
+    def test_initial_layer_grid(self):
+        u1 = initial_layer(ENVELOPE, FastProfile([(1, 0.0, 0.8), (3, 0.2, -0.6)]))
+        x, t = self.X, self.T
+        want = outer_sum(x, t, u1.modes, lambda n: u1.level
+                         * u1.envelope.coefficient(n)(0.0) * np.exp(-n * n * t))
+        assert np.max(np.abs(u1.evaluate_grid(x, t) - want)) < 1e-14
+
+    def test_sine_series_grid(self):
+        envelope = rich_problem(10.0).envelope
+        x, t = self.X, self.T
+        want = outer_sum(x, t, envelope.modes, lambda n: envelope.coefficient(n)(t))
+        assert np.max(np.abs(envelope.evaluate_grid(x, t) - want)) < 1e-14

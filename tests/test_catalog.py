@@ -256,6 +256,41 @@ class TestSineSeries:
         with pytest.raises(CatalogError):
             series.at_x(1.0)
 
+    def test_time_samples_share_one_pass_per_time(self):
+        def profile(x, t):
+            calls.append(t)
+            return (1.0 + t) * np.sin(x) + t * t * np.sin(3 * x)
+
+        x = np.linspace(0.0, math.pi, 9)
+        t = np.array([0.0, 0.25, 0.5, 0.25, 1.0, 0.0])
+        counts = []
+        for n_max in (1, 4, 16):
+            calls = []
+            series = sine_coefficients_in_time(profile, n_max, quadrature_points=16)
+            grid = series.evaluate_grid(x, t)
+            counts.append(len(calls))
+            assert sorted(set(calls)) == [0.0, 0.25, 0.5, 1.0]
+            for j, tj in enumerate(t):
+                # the same values as one sine_coefficients pass at that time
+                want = sine_coefficients(lambda xs: profile(xs, tj), n_max, 16)
+                for n in range(1, n_max + 1):
+                    assert series.modes[n](t)[j] == want.coefficient(n)(0.0)
+                    assert series.modes[n](tj) == want.coefficient(n)(0.0)
+                column = want.evaluate_grid(x, [0.0])[:, 0]
+                assert np.max(np.abs(grid[:, j] - column)) < 1e-15
+        assert counts[0] == counts[1] == counts[2]
+
+    def test_unconverged_coefficients_rejected(self):
+        def step(x):
+            return (x > 1.0).astype(float)
+
+        with pytest.raises(ValueError, match=r"did not converge.*tol 1\.0e-12"):
+            sine_coefficients(step, 4)
+        series = sine_coefficients(step, 4, tol=1e-2)
+        for n in range(1, 5):
+            exact = 2.0 / (n * math.pi) * (math.cos(n) - math.cos(n * math.pi))
+            assert abs(series.coefficient(n)(0.0) - exact) < 1e-2
+
 
 # ---------------------------------------------------------------------------
 # Duhamel weights

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -268,10 +269,15 @@ class TestCommandLine:
         script = (
             "import os; os.environ['OSK_THREADS'] = '1'\n"
             "from osckit.cli import main\n"
+            "assert os.environ['OPENBLAS_NUM_THREADS'] == '1'\n"
+            "assert os.environ['OMP_NUM_THREADS'] == '1'\n"
             "raise SystemExit(main(['forward', '--scenario', 'golden-forward',"
             " '--out', '-', '--format', 'csv']))\n"
         )
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                            "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
         proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True)
-        assert proc.returncode == 0
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("t,value")

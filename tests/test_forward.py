@@ -5,10 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from osckit.catalog import FastProfile, SineSeries, SlowFunction, SourceFactor
-from osckit.forward import HeatProblem, solve_heat, solve_mode, trace
+from osckit.asymptotics import leading_term
+from osckit.catalog import (
+    FastProfile,
+    SineSeries,
+    SlowFunction,
+    SourceFactor,
+    duhamel_oscillatory,
+    duhamel_weight,
+)
+from osckit.forward import HeatProblem, mode_amplitudes, solve_heat, solve_mode, trace
 
-from _oracles import field_oracle, mode_oracle
+from _oracles import field_oracle, mode_oracle, outer_sum
 
 
 def steady(mean, oscillation=None):
@@ -139,12 +147,60 @@ class TestSolveHeat:
         assert np.max(np.abs(u.values[-1, :])) < 1e-12  # x = pi
         assert np.max(np.abs(u.values[:, 0])) < 1e-12   # t = 0
 
+    def test_synthesis_matches_per_mode_outer_sum(self):
+        envelope = SineSeries({1: SlowFunction([(1.0, 0, 0.0), (0.5, 1, -1.0)]),
+                               2: 0.7, 5: -0.2, 40: 0.1})
+        factor = SourceFactor(LINEAR_MEAN, FastProfile([(1, 0.3, 1.0), (2, 0.5, 0.0)]))
+        problem = HeatProblem(envelope, factor, 300.0, 1.0, n_max=8)
+        u = solve_heat(problem, 33, 257)
+        x, t = u.axes
+
+        def closed_mode(n):
+            fn = envelope.coefficient(n)
+            out = duhamel_weight(n, fn * factor.mean, t)
+            for k, a, b in factor.oscillation.harmonics:
+                z = 300.0 * k
+                out = out + duhamel_oscillatory(n, fn * a, z, t).real \
+                    + duhamel_oscillatory(n, fn * b, z, t).imag
+            return out
+
+        want = outer_sum(x, t, problem.active_modes, closed_mode)
+        assert np.max(np.abs(u.values - want)) < 1e-14
+
     def test_tail_warning_for_truncated_modes(self):
         envelope = SineSeries({1: 1.0, 40: 0.5})
         problem = HeatProblem(envelope, steady(1.0), 10.0, 1.0, n_max=8)
         u = solve_heat(problem, 17, 17)
         assert u.meta["tail_estimate"] > 0
         assert u.meta["warnings"]
+
+
+class TestModeAmplitudes:
+    PROBLEM = HeatProblem(REFERENCE_ENVELOPE,
+                          SourceFactor(LINEAR_MEAN, FastProfile([(1, 0.4, 1.0)])),
+                          50.0, 1.0, n_max=4)
+
+    def test_mean_part_is_the_leading_term(self):
+        t = np.linspace(0.0, 1.0, 33)
+        modes = self.PROBLEM.active_modes
+        mean, _ = mode_amplitudes(self.PROBLEM, modes, t)
+        u0 = leading_term(REFERENCE_ENVELOPE, LINEAR_MEAN, 4)
+        for row, n in zip(mean, modes):
+            assert np.array_equal(row, u0.mode_amplitude(n, t))
+
+    def test_quadrature_fills_the_same_parts(self):
+        t = np.linspace(0.0, 1.0, 7)
+        modes = [1, 2, 3]
+        closed = mode_amplitudes(self.PROBLEM, modes, t, method="closed")
+        quad = mode_amplitudes(self.PROBLEM, modes, t, method="quadrature")
+        for c, q in zip(closed, quad):
+            assert c.shape == q.shape == (3, 7)
+            assert np.max(np.abs(c - q)) < 1e-12
+        assert np.max(np.abs(closed[1])) > 1e-3  # the oscillatory part is there
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            mode_amplitudes(self.PROBLEM, [1], np.linspace(0.0, 1.0, 3), method="euler")
 
 
 class TestTrace:

@@ -14,9 +14,10 @@ from osckit.volterra import (
     VolterraProblem,
     build_kernel,
     convergence_order,
-    discrete_residual,
     solve,
 )
+
+from _oracles import discrete_residual
 
 LINEAR = SlowFunction.monomial(1.0, 1)
 
