@@ -77,10 +77,7 @@ class LeadingTerm:
 
     def at_x(self, x0: float) -> SlowFunction:
         """Exact slow trace ``t -> u0(x0, t)``."""
-        out = SlowFunction.zero()
-        for n in self.modes:
-            out = out + self.mode_amplitude_slow(n) * math.sin(n * x0)
-        return out
+        return SineSeries({n: self.mode_amplitude_slow(n) for n in self.modes}).at_x(x0)
 
     def time_derivative_grid(self, x, t) -> np.ndarray:
         """du0/dt from the termwise-differentiated closed forms."""
@@ -141,11 +138,9 @@ class InitialLayer:
         return float(self.evaluate_grid([x], [t])[0, 0])
 
     def at_x(self, x0: float) -> SlowFunction:
-        terms = []
-        for n in self.modes:
-            fn0 = self.envelope.coefficient(n)(0.0)
-            terms.append((self.level * fn0 * math.sin(n * x0), 0, -float(n * n)))
-        return SlowFunction(terms)
+        modes = {n: SlowFunction.monomial(self.level * self.envelope.coefficient(n)(0.0),
+                                          0, -float(n * n)) for n in self.modes}
+        return SineSeries(modes).at_x(x0)
 
 
 def leading_term(envelope: SineSeries, mean: SlowFunction, n_max: int = 32) -> LeadingTerm:
@@ -192,10 +187,6 @@ class TwoTermExpansion:
             out = out + (self.layer.evaluate_grid(x, t)
                          + self.fast.evaluate_grid(x, t, omega)) / omega
         return out
-
-    def trace_components(self, x0: float) -> tuple[SlowFunction, SlowFunction, FastProfile]:
-        """Exact (leading, initial-layer, oscillating) trace triple at x0."""
-        return self.leading.at_x(x0), self.layer.at_x(x0), self.fast.at_x(x0)
 
 
 def resolving_time_count(omega: float, horizon: float,

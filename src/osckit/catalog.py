@@ -7,10 +7,15 @@ with slow amplitudes; spatial envelopes are finite sine series on
 Duhamel convolution against ``e^{-n^2 (t-s)}``, so every time integral the
 solvers need is evaluated in closed form instead of by time stepping.
 Arbitrary callables are admitted only through sampling plus quadrature.
+
+Each such integral is ``int_0^t e^{-d (t-s)} s^m e^{r s} ds``, taken by parts
+or, where ``|r + d| t <= 1``, as a power series; symbolic results (no t)
+apply that one rule at ``t = SERIES_HORIZON``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -32,9 +37,7 @@ __all__ = [
     "sine_synthesis",
 ]
 
-# Relative window around gamma = -n^2 in which the symbolic Duhamel
-# convolution switches to the polynomial (resonant) branch.
-RESONANCE_RTOL = 1e-9
+SERIES_HORIZON = 4.0  # symbolic series regime: |rate + decay| <= 1/4
 
 
 class CatalogError(ValueError):
@@ -162,17 +165,7 @@ class SlowFunction:
 
     def integral(self) -> "SlowFunction":
         """Antiderivative vanishing at 0, i.e. t -> integral_0^t."""
-        out = []
-        for c, m, g in self.terms:
-            if g == 0.0:
-                out.append((c / (m + 1), m + 1, 0.0))
-                continue
-            fr = 1.0  # m!/(m-j)!
-            for j in range(m + 1):
-                out.append((c * (-1.0) ** j * fr / g ** (j + 1), m - j, g))
-                fr *= m - j
-            out.append((-c * (-1.0) ** m * math.factorial(m) / g ** (m + 1), 0, 0.0))
-        return SlowFunction(out)
+        return _duhamel_symbolic(self, 0.0)
 
     def times_exp(self, rate: float) -> "SlowFunction":
         return SlowFunction(tuple((c, m, g + float(rate)) for c, m, g in self.terms))
@@ -231,10 +224,6 @@ class FastProfile:
     def zero(cls) -> "FastProfile":
         return cls()
 
-    @classmethod
-    def harmonic(cls, k: int, cos=0.0, sin=0.0) -> "FastProfile":
-        return cls([(k, cos, sin)])
-
     def __call__(self, t, tau):
         t = np.asarray(t, dtype=float)
         tau_arr = np.asarray(tau, dtype=float)
@@ -268,9 +257,6 @@ class FastProfile:
 
     def scale_slow(self, s: SlowFunction) -> "FastProfile":
         return FastProfile([(k, a * s, b * s) for k, a, b in self.harmonics])
-
-    def divide_slow(self, s: SlowFunction) -> "FastProfile":
-        return self.scale_slow(s.reciprocal())
 
     # -- fast-phase calculus --------------------------------------------
 
@@ -382,9 +368,6 @@ class SineSeries:
             out = out + self.coefficient(n) * math.sin(n * x0)
         return out
 
-    def scale(self, factor: float) -> "SineSeries":
-        return SineSeries({n: self.coefficient(n) * float(factor) for n in self.modes})
-
 
 # ---------------------------------------------------------------------------
 # source time factor r(t, tau) = mean(t) + oscillation(t, tau)
@@ -444,11 +427,6 @@ class GridFunction:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def sup_diff(self, other: "GridFunction") -> float:
-        if not all(np.array_equal(a, b) for a, b in zip(self.axes, other.axes)):
-            raise ValueError("sup_diff requires identical grids")
-        return float(np.max(np.abs(self.values - other.values)))
-
     def interp(self, point: float) -> float:
         """Linear interpolation, 1-D grids only."""
         if len(self.axes) != 1:
@@ -460,9 +438,15 @@ class GridFunction:
 # sine coefficients by composite Gauss-Legendre quadrature
 # ---------------------------------------------------------------------------
 
-def _gauss_nodes(panels: int, points: int = 16):
-    ref_x, ref_w = np.polynomial.legendre.leggauss(points)
-    edges = np.linspace(0.0, math.pi, panels + 1)
+@functools.cache
+def _legendre(points: int):
+    return np.polynomial.legendre.leggauss(points)
+
+
+def _gauss_nodes(lo: float, hi: float, panels: int, points: int):
+    """Composite ``points``-point Gauss-Legendre on ``panels`` equal panels of [lo, hi]."""
+    ref_x, ref_w = _legendre(points)
+    edges = np.linspace(lo, hi, panels + 1)
     half = np.diff(edges) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0
     nodes = (mid[:, None] + half[:, None] * ref_x[None, :]).ravel()
@@ -471,7 +455,7 @@ def _gauss_nodes(panels: int, points: int = 16):
 
 
 def _coefficients_once(sample, n_max: int, panels: int) -> np.ndarray:
-    nodes, weights = _gauss_nodes(panels)
+    nodes, weights = _gauss_nodes(0.0, math.pi, panels, 16)
     vals = np.asarray(sample(nodes), dtype=float)
     if vals.shape != nodes.shape:
         raise ValueError("sampled integrand has wrong shape")
@@ -556,6 +540,46 @@ def sine_coefficients_in_time(func, n_max: int, quadrature_points: int | None = 
 # Duhamel convolutions against e^{-n^2 (t - s)}
 # ---------------------------------------------------------------------------
 
+def _series_regime(lam, t):
+    """Where ``int_0^t s^m e^{lam s} ds`` is summed as a power series, not by parts."""
+    return np.abs(lam) * np.abs(t) <= 1.0
+
+
+def _moment_terms(power: int, lam, series: bool):
+    """Terms ``(a, k, b, grows)`` of ``int_0^t s^power e^{lam s} ds``.
+
+    The integral is ``sum a t^k / b``, times ``e^{lam t}`` where ``grows``.
+    In the series regime these are the power series' first 40 terms (good
+    to about 1e-13 of the integral's size while ``|lam| t <= 4``); otherwise
+    they come from integration by parts, for real or complex ``lam != 0``,
+    whose coefficients ``1/lam^(j+1)`` cancel where ``|lam| t`` is small.
+    """
+    out = []
+    if series:
+        a = lam ** 0  # lam^p / p!, complex when lam is
+        for p in range(40):
+            out.append((a, power + p + 1, power + p + 1, False))
+            a *= lam / (p + 1)
+        return out
+    fr = 1.0  # power!/(power-j)!
+    for j in range(power + 1):
+        out.append(((-1.0) ** j * fr, power - j, lam ** (j + 1), True))
+        fr *= power - j
+    a, _, b, _ = out[-1]
+    return out + [(-a, 0, b, False)]
+
+
+def _duhamel_symbolic(g: SlowFunction, decay: float) -> SlowFunction:
+    """``t -> integral_0^t e^{-decay (t-s)} g(s) ds``; series regime at SERIES_HORIZON."""
+    rest = 0.0 - decay  # +0.0, not -0.0, when decay is 0
+    out = []
+    for c, m, rate in g.terms:
+        lam = rate + decay
+        out += [(c * a / b, k, rate if grows else rest) for a, k, b, grows
+                in _moment_terms(m, lam, _series_regime(lam, SERIES_HORIZON))]
+    return SlowFunction(out)
+
+
 def exp_kernel_moment(power: int, rate: complex, decay: complex, t) -> np.ndarray:
     """``integral_0^t e^{-decay (t-s)} s^power e^{rate s} ds``.
 
@@ -570,14 +594,10 @@ def exp_kernel_moment(power: int, rate: complex, decay: complex, t) -> np.ndarra
     lam = complex(rate) + complex(decay)
     out = np.empty(arr.shape, dtype=complex)
 
-    small = np.abs(lam) * np.abs(arr) <= 1.0
+    small = _series_regime(lam, arr)
     if small.any():
         ts = arr[small]
-        acc = np.zeros(ts.shape, dtype=complex)
-        coef = 1.0 + 0.0j  # lam^p / p!
-        for p in range(40):
-            acc += coef * ts ** (power + p + 1) / (power + p + 1)
-            coef *= lam / (p + 1)
+        acc = sum(a * ts ** k / b for a, k, b, _ in _moment_terms(power, lam, True))
         out[small] = np.exp(-complex(decay) * ts) * acc
 
     big = ~small
@@ -585,27 +605,17 @@ def exp_kernel_moment(power: int, rate: complex, decay: complex, t) -> np.ndarra
         tb = arr[big]
         e_rate = np.exp(complex(rate) * tb)
         e_decay = np.exp(-complex(decay) * tb)
-        s = np.zeros(tb.shape, dtype=complex)
-        fr = 1.0  # power!/(power-j)!
-        for j in range(power + 1):
-            s += (-1.0) ** j * fr * tb ** (power - j) / lam ** (j + 1)
-            fr *= power - j
-        tail = (-1.0) ** (power + 1) * math.factorial(power) / lam ** (power + 1)
-        out[big] = s * e_rate + tail * e_decay
+        *parts, (a0, _, b0, _) = _moment_terms(power, lam, False)
+        poly = sum(a * tb ** k / b for a, k, b, _ in parts)
+        out[big] = poly * e_rate + a0 / b0 * e_decay
 
     return out[0] if scalar else out
 
 
 def duhamel_weight(n: int, g: SlowFunction, t):
     """``integral_0^t e^{-n^2 (t-s)} g(s) ds`` in closed form."""
-    n2 = float(n) * float(n)
-    arr = np.asarray(t, dtype=float)
-    out = np.zeros(arr.shape)
-    for c, m, rate in g.terms:
-        out = out + c * exp_kernel_moment(m, rate, n2, arr).real
-    if arr.ndim == 0:
-        return float(out)
-    return out
+    out = duhamel_oscillatory(n, g, 0.0, t).real
+    return float(out) if out.ndim == 0 else out
 
 
 def duhamel_oscillatory(n: int, g: SlowFunction, frequency: float, t) -> np.ndarray:
@@ -625,20 +635,7 @@ def duhamel_oscillatory(n: int, g: SlowFunction, frequency: float, t) -> np.ndar
 def duhamel_slow(n: int, g: SlowFunction) -> SlowFunction:
     """``t -> integral_0^t e^{-n^2 (t-s)} g(s) ds`` as a SlowFunction.
 
-    A term with rate within RESONANCE_RTOL of -n^2 takes the polynomial
-    branch ``c t^{m+1} e^{-n^2 t} / (m+1)``, keeping the closed form
-    continuous across the resonance.
+    A term with ``|rate + n^2| <= 1/SERIES_HORIZON``, on or near the
+    resonance, becomes a Taylor polynomial times ``e^{-n^2 t}``.
     """
-    n2 = float(n) * float(n)
-    out = []
-    for c, m, rate in g.terms:
-        lam = rate + n2
-        if abs(lam) < RESONANCE_RTOL * max(1.0, n2):
-            out.append((c / (m + 1), m + 1, -n2))
-            continue
-        fr = 1.0
-        for j in range(m + 1):
-            out.append((c * (-1.0) ** j * fr / lam ** (j + 1), m - j, rate))
-            fr *= m - j
-        out.append((c * (-1.0) ** (m + 1) * math.factorial(m) / lam ** (m + 1), 0, -n2))
-    return SlowFunction(out)
+    return _duhamel_symbolic(g, float(n) * float(n))

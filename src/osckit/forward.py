@@ -22,6 +22,7 @@ from .catalog import (
     SineSeries,
     SlowFunction,
     SourceFactor,
+    _gauss_nodes,
     duhamel_oscillatory,
     duhamel_weight,
     sine_synthesis,
@@ -88,7 +89,6 @@ def _amplitudes_quadrature(problem: HeatProblem, modes, t: np.ndarray,
     coeffs = [problem.envelope.modes.get(n, SlowFunction.zero()) for n in modes]
     factor = problem.factor
     n2 = np.array([float(n * n) for n in modes])[:, None]
-    ref_x, ref_w = np.polynomial.legendre.leggauss(8)
     out = np.zeros((2, len(modes), t.size))
     u = np.zeros((2, len(modes)))
     pos = 0.0
@@ -97,11 +97,7 @@ def _amplitudes_quadrature(problem: HeatProblem, modes, t: np.ndarray,
         span = target - pos
         if span > 0:
             panels = max(1, int(math.ceil(span / step)))
-            edges = np.linspace(pos, target, panels + 1)
-            half = np.diff(edges) / 2.0
-            mid = (edges[:-1] + edges[1:]) / 2.0
-            nodes = (mid[:, None] + half[:, None] * ref_x[None, :]).ravel()
-            weights = (half[:, None] * ref_w[None, :]).ravel()
+            nodes, weights = _gauss_nodes(pos, target, panels, 8)
             fn = np.reshape([np.broadcast_to(np.asarray(c(nodes), float), nodes.shape)
                              for c in coeffs], (-1, nodes.size))
             kernel = fn * np.exp(-n2 * (target - nodes)) * weights

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .asymptotics import InitialLayer
 from .catalog import (
     FastProfile,
     GridFunction,
@@ -237,13 +238,7 @@ def implied_initial_layer(oscillating: FastProfile, envelope: SineSeries,
     if abs(denom) < GAUGE_FLOOR:
         raise ValueError("envelope vanishes at (x0, 0); initial layer undefined")
     level = oscillating.tau_derivative().antiderivative_fast_mean()(0.0) / denom
-    terms = []
-    for n in envelope.modes:
-        if n > n_max:
-            continue
-        fn0 = envelope.coefficient(n)(0.0)
-        terms.append((level * fn0 * math.sin(n * x0), 0, -float(n * n)))
-    return SlowFunction(terms)
+    return InitialLayer(envelope, level, n_max).at_x(x0)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +287,7 @@ def recover_time_factor(obs: TraceObservation, envelope: SineSeries,
         intervals=intervals,
     )
     mean_grid = solve(problem)
-    oscillation = obs.oscillating.tau_derivative().divide_slow(g)
+    oscillation = obs.oscillating.tau_derivative().scale_slow(g.reciprocal())
     return TimeFactorRecovery(
         mean_grid,
         oscillation,

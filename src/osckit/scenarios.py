@@ -44,6 +44,10 @@ KINDS = ("forward", "asymptotics", "convergence",
          "inverse1", "inverse2", "inverse3", "inverse4")
 
 DEFAULTS = {"grid": 2048, "n_max": 32, "x_count": 65}
+# Lower bounds the solvers put on the integer parameters.
+INTEGER_BOUNDS = {"grid": 1, "n_max": 1, "x_count": 2, "t_count": 2}
+FLOAT_PARAMS = ("T", "omega", "x0", "t0", "delta",
+                "tol_lambda", "tol_coeff", "tol_consistency")
 
 
 class ScenarioError(ValueError):
@@ -55,6 +59,9 @@ class Scenario:
     kind: str
     params: dict
     functions: dict
+
+    def __post_init__(self):
+        _validate_ranges(self)
 
     def param(self, name: str, default=None):
         if name in self.params:
@@ -192,39 +199,51 @@ def parse_scenario_dict(data: dict) -> Scenario:
             raise ScenarioError(f"missing function {name!r} for kind {kind!r}")
     functions = {name: _payload_to_function(payload, name)
                  for name, payload in raw_functions.items()}
-    scenario = Scenario(kind, params, functions)
-    _validate_ranges(scenario)
-    return scenario
+    return Scenario(kind, params, functions)
+
+
+def _finite(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ScenarioError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _validate_ranges(s: Scenario):
-    horizon = float(s.params.get("T", 1.0))
+    for name, low in INTEGER_BOUNDS.items():
+        value = s.params.get(name, low)
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ScenarioError(f"parameter {name!r} must be an integer >= {low}, "
+                                f"got {value!r}")
+    num = {name: _finite(s.params[name], f"parameter {name!r}")
+           for name in FLOAT_PARAMS if s.params.get(name) is not None}
+    horizon = num.get("T", 1.0)
     if horizon <= 0:
         raise ScenarioError("parameter 'T' must be positive")
-    if "omega" in s.params and float(s.params["omega"]) <= 0:
+    if num.get("omega", 1.0) <= 0:
         raise ScenarioError("parameter 'omega' must be positive")
-    if "x0" in s.params and not 0.0 < float(s.params["x0"]) < math.pi:
+    if "x0" in num and not 0.0 < num["x0"] < math.pi:
         raise ScenarioError("parameter 'x0' must lie in (0, pi)")
-    if "t0" in s.params:
-        t0 = float(s.params["t0"])
-        if t0 <= 0:
+    if "t0" in num:
+        if num["t0"] <= 0:
             raise ScenarioError("parameter 't0' must be positive")
-        if "T" in s.params and t0 > horizon:
+        if "T" in num and num["t0"] > horizon:
             raise ScenarioError("parameter 't0' must not exceed 'T'")
     if "x_points" in s.params:
         pts = s.params["x_points"]
         if not isinstance(pts, (list, tuple)) or not pts:
             raise ScenarioError("parameter 'x_points' must be a non-empty list")
+        pts = [_finite(x, "x_points entry") for x in pts]
         for x in pts:
-            if not 0.0 < float(x) < math.pi:
+            if not 0.0 < x < math.pi:
                 raise ScenarioError(f"x_points entry {x!r} outside (0, pi)")
-        if len(set(map(float, pts))) != len(pts):
+        if len(set(pts)) != len(pts):
             raise ScenarioError("x_points entries must be distinct")
     if "omega_ladder" in s.params:
         ladder = s.params["omega_ladder"]
         if not isinstance(ladder, (list, tuple)) or not ladder:
             raise ScenarioError("parameter 'omega_ladder' must be a non-empty list")
-        if any(float(w) <= 0 for w in ladder):
+        if any(_finite(w, "omega_ladder entry") <= 0 for w in ladder):
             raise ScenarioError("omega_ladder entries must be positive")
 
 

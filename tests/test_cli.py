@@ -88,6 +88,22 @@ class TestParsing:
                                   f"{name}.json")
             assert parse_scenario(path) == original
 
+    @pytest.mark.parametrize("name, value", [
+        ("grid", 2.5), ("grid", 0), ("n_max", True), ("x_count", 1),
+        ("t_count", "33"), ("omega", math.inf), ("T", math.nan),
+        ("x0", "1.5x"), ("tol_consistency", math.inf),
+    ])
+    def test_invalid_parameter_named(self, name, value):
+        payload = forward_payload(**{name: value})
+        with pytest.raises(ScenarioError, match=name):
+            parse_scenario_dict(payload)
+
+    def test_non_numeric_list_entry_rejected(self):
+        golden = serialize_scenario(builtin_scenario("golden"))
+        golden["params"]["x_points"] = [1.5, "left"]
+        with pytest.raises(ScenarioError, match="x_points"):
+            parse_scenario_dict(golden)
+
     def test_bad_term_list_rejected(self):
         payload = forward_payload()
         payload["functions"]["r0"] = {"slow": [[1.0, "x"]]}
@@ -264,6 +280,24 @@ class TestCommandLine:
                      "--out", str(out)])
         assert code == 0
         assert len(out.read_text().strip().splitlines()) == 3
+
+    def test_fractional_grid_in_file_is_scenario_error(self, tmp_path, capsys):
+        golden = serialize_scenario(builtin_scenario("golden"))
+        golden["params"]["grid"] = 2.5
+        path = write_scenario(tmp_path, golden, "fractional.json")
+        assert main(["inverse4", "--scenario", path, "--out", "-"]) == 1
+        assert "osckit: scenario error: parameter 'grid'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, scenario, flag, value", [
+        ("inverse4", "golden", "--grid", "0"),
+        ("inverse4", "golden", "--modes", "0"),
+        ("convergence", "golden-convergence", "--omega-ladder", "nan"),
+        ("convergence", "golden-convergence", "--omega-ladder", "64,inf"),
+    ])
+    def test_invalid_override_is_scenario_error(self, kind, scenario, flag, value,
+                                                capsys):
+        assert main([kind, "--scenario", scenario, flag, value, "--out", "-"]) == 1
+        assert "osckit: scenario error:" in capsys.readouterr().err
 
     def test_thread_cap_subprocess(self, tmp_path):
         script = (
