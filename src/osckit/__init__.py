@@ -33,7 +33,7 @@ from .catalog import (
     sine_coefficients,
     sine_coefficients_in_time,
 )
-from .forward import HeatProblem, solve_heat, solve_mode, trace
+from .forward import HeatProblem, solve_heat, trace
 from .asymptotics import (
     TwoTermExpansion,
     corrector,
@@ -101,7 +101,6 @@ __all__ = [
     "duhamel_slow",
     "exp_kernel_moment",
     "HeatProblem",
-    "solve_mode",
     "solve_heat",
     "trace",
     "TwoTermExpansion",

@@ -167,9 +167,6 @@ class SlowFunction:
         """Antiderivative vanishing at 0, i.e. t -> integral_0^t."""
         return _duhamel_symbolic(self, 0.0)
 
-    def times_exp(self, rate: float) -> "SlowFunction":
-        return SlowFunction(tuple((c, m, g + float(rate)) for c, m, g in self.terms))
-
     def reciprocal(self) -> "SlowFunction":
         """1/self, defined only for a single term c*e^{g t}."""
         if len(self.terms) != 1 or self.terms[0][1] != 0:
@@ -380,10 +377,6 @@ class SourceFactor:
     mean: SlowFunction
     oscillation: FastProfile
 
-    @classmethod
-    def steady(cls, mean) -> "SourceFactor":
-        return cls(_as_slow(mean), FastProfile.zero())
-
     def __call__(self, t, tau):
         t_arr = np.asarray(t, dtype=float)
         tau_arr = np.asarray(tau, dtype=float)
@@ -585,22 +578,26 @@ def exp_kernel_moment(power: int, rate: complex, decay: complex, t) -> np.ndarra
 
     Complex-safe and vectorized in t.  Large ``decay`` never enters a bare
     exponential (only ``e^{rate t}`` and ``e^{-decay t}`` appear), and a
-    power series takes over where ``|rate + decay| * t <= 1`` so the
-    near-resonant regime loses no digits to cancellation.
+    power series takes over where ``0 < |rate + decay| * t <= 1`` so the
+    near-resonant regime loses no digits to cancellation.  At ``t = 0`` the
+    integral is exactly ``0j`` and no terms are summed.
     """
     arr = np.asarray(t, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     lam = complex(rate) + complex(decay)
-    out = np.empty(arr.shape, dtype=complex)
+    out = np.zeros(arr.shape, dtype=complex)
 
-    small = _series_regime(lam, arr)
+    # t = 0 stays +0j; it must not fall to the by-parts branch below, whose
+    # terms cancel there only to rounding.
+    series = _series_regime(lam, arr)
+    small = series & (arr != 0.0)
     if small.any():
         ts = arr[small]
         acc = sum(a * ts ** k / b for a, k, b, _ in _moment_terms(power, lam, True))
         out[small] = np.exp(-complex(decay) * ts) * acc
 
-    big = ~small
+    big = ~series
     if big.any():
         tb = arr[big]
         e_rate = np.exp(complex(rate) * tb)

@@ -28,8 +28,8 @@ from .catalog import (
     sine_synthesis,
 )
 
-__all__ = ["HeatProblem", "mode_amplitudes", "oscillatory_amplitudes", "solve_mode",
-           "solve_heat", "trace"]
+__all__ = ["HeatProblem", "mode_amplitudes", "oscillatory_amplitudes", "solve_heat",
+           "trace"]
 
 
 @dataclass(frozen=True)
@@ -130,17 +130,6 @@ def mode_amplitudes(problem: HeatProblem, modes, t: np.ndarray, method: str = "a
             step = 2.0 * math.pi / (32.0 * problem.omega)
         return _amplitudes_quadrature(problem, modes, t, step)
     raise ValueError(f"unknown method {method!r}")
-
-
-def solve_mode(problem: HeatProblem, n: int, t, method: str = "auto",
-               quadrature_step: float | None = None):
-    """Mode amplitude ``u_n(t) = integral_0^t e^{-n^2(t-s)} f_n(s) r(s, omega s) ds``."""
-    if not 1 <= n <= problem.n_max:
-        raise ValueError(f"mode {n} outside 1..{problem.n_max}")
-    arr = np.asarray(t, dtype=float)
-    mean, osc = mode_amplitudes(problem, [n], arr.ravel(), method, quadrature_step)
-    out = (mean[0] + osc[0]).reshape(arr.shape)
-    return float(out) if arr.ndim == 0 else out
 
 
 def _tail_estimate(problem: HeatProblem, horizon: float) -> float:

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .asymptotics import InitialLayer
-from .catalog import (
+# sine_coefficients stays importable here because bench/spans.py traces this binding
+from .catalog import (  # noqa: F401
     FastProfile,
     GridFunction,
     SineSeries,
@@ -114,22 +115,6 @@ class SnapshotObservation:
     def __post_init__(self):
         if self.t0 <= 0:
             raise ValueError("t0 must be positive")
-
-    @classmethod
-    def from_callable(cls, t0: float, func, n_max: int) -> "SnapshotObservation":
-        series = sine_coefficients(func, n_max)
-        warning = None
-        scaled = np.array([abs(series.coefficient(n)(0.0)) * n**4
-                           for n in range(1, n_max + 1)])
-        if n_max >= 8:
-            head = scaled[: n_max // 2].max()
-            tail = scaled[n_max // 2:].max()
-            if tail > 4.0 * (head + 1e-14):
-                warning = (
-                    "snapshot coefficients decay slower than n^-4; "
-                    "profile may lack the required smoothness"
-                )
-        return cls(t0, series, warning)
 
     def coefficient_value(self, n: int) -> float:
         return float(self.profile.coefficient(n)(0.0))

@@ -45,7 +45,7 @@ KINDS = ("forward", "asymptotics", "convergence",
 
 DEFAULTS = {"grid": 2048, "n_max": 32, "x_count": 65}
 # Lower bounds the solvers put on the integer parameters.
-INTEGER_BOUNDS = {"grid": 1, "n_max": 1, "x_count": 2, "t_count": 2}
+INTEGER_BOUNDS = {"grid": 2, "n_max": 1, "x_count": 2, "t_count": 2}
 FLOAT_PARAMS = ("T", "omega", "x0", "t0", "delta",
                 "tol_lambda", "tol_coeff", "tol_consistency")
 
@@ -245,6 +245,15 @@ def _validate_ranges(s: Scenario):
             raise ScenarioError("parameter 'omega_ladder' must be a non-empty list")
         if any(_finite(w, "omega_ladder entry") <= 0 for w in ladder):
             raise ScenarioError("omega_ladder entries must be positive")
+    # The two-term expansion averages over fast periods; with less than one
+    # on [0, T] the source does not oscillate and its residuals mean nothing.
+    # The forward solve is exact at any omega.
+    expansion_omegas = {"asymptotics": [num.get("omega")],
+                        "convergence": s.params.get("omega_ladder", [])}
+    for omega in expansion_omegas.get(s.kind, []):
+        if omega is not None and omega * horizon < 2.0 * math.pi:
+            raise ScenarioError(f"omega {omega!r} completes less than one period "
+                                f"on [0, T] (omega * T < 2*pi) for kind {s.kind!r}")
 
 
 def parse_scenario(path: str) -> Scenario:

@@ -244,21 +244,3 @@ class SeparableResolvent:
         y = self.mode_integrals(arr)
         l = (self.rhs(arr) - self.c @ y) / self.g0
         return float(l[0]) if scalar else l
-
-    @classmethod
-    def from_problem(cls, problem: VolterraProblem) -> "SeparableResolvent":
-        kernel = problem.kernel
-        if not isinstance(kernel, Kernel) or not kernel.is_constant:
-            raise ValueError("resolvent requires a constant separable kernel")
-        if isinstance(problem.diagonal, SlowFunction):
-            terms = problem.diagonal.terms
-            if len(terms) != 1 or terms[0][1:] != (0, 0.0):
-                raise ValueError("resolvent requires a constant diagonal")
-            g0 = terms[0][0]
-        else:
-            g0 = float(problem.diagonal)
-        if not isinstance(problem.rhs, SlowFunction):
-            raise ValueError("resolvent requires a catalog rhs")
-        ns = [n for n, _ in kernel.modes]
-        cs = [c.terms[0][0] if c.terms else 0.0 for _, c in kernel.modes]
-        return cls(g0, ns, cs, problem.rhs)

@@ -7,6 +7,10 @@ trapezoid over one period.  Sine sums are accumulated one ``np.outer`` term
 per mode, and the two-term remainder is the full forward field minus the
 expansion's grid values, independent of the library's single synthesis
 product and its mode-by-mode remainder.
+
+The last helpers are conveniences over library paths that only the tests
+need: one mode's amplitude, a rate shift, a resolvent built from a Volterra
+problem and a snapshot sampled from a callable.
 """
 
 import math
@@ -15,8 +19,10 @@ import numpy as np
 from scipy.integrate import quad
 
 from osckit.asymptotics import resolving_time_count
-from osckit.catalog import GridFunction
-from osckit.forward import solve_heat
+from osckit.catalog import GridFunction, SlowFunction, sine_coefficients
+from osckit.forward import mode_amplitudes, solve_heat
+from osckit.inverse import SnapshotObservation
+from osckit.volterra import Kernel, SeparableResolvent
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 
@@ -125,3 +131,55 @@ def discrete_residual(problem, solution) -> np.ndarray:
         weights[0] = weights[i] = h / 2.0
         res[i] = g[i] * l[i] + weights @ (row * l[: i + 1]) - mu[i]
     return res
+
+
+def solve_mode(problem, n: int, t, method: str = "auto",
+               quadrature_step: float | None = None):
+    """Mode amplitude ``u_n(t) = integral_0^t e^{-n^2(t-s)} f_n(s) r(s, omega s) ds``."""
+    if not 1 <= n <= problem.n_max:
+        raise ValueError(f"mode {n} outside 1..{problem.n_max}")
+    arr = np.asarray(t, dtype=float)
+    mean, osc = mode_amplitudes(problem, [n], arr.ravel(), method, quadrature_step)
+    out = (mean[0] + osc[0]).reshape(arr.shape)
+    return float(out) if arr.ndim == 0 else out
+
+
+def times_exp(g, rate: float):
+    """``g(t) e^{rate t}`` as a SlowFunction."""
+    return SlowFunction(tuple((c, m, r + float(rate)) for c, m, r in g.terms))
+
+
+def resolvent_from_problem(problem):
+    """SeparableResolvent of a constant-coefficient Volterra problem."""
+    kernel = problem.kernel
+    if not isinstance(kernel, Kernel) or not kernel.is_constant:
+        raise ValueError("resolvent requires a constant separable kernel")
+    if isinstance(problem.diagonal, SlowFunction):
+        terms = problem.diagonal.terms
+        if len(terms) != 1 or terms[0][1:] != (0, 0.0):
+            raise ValueError("resolvent requires a constant diagonal")
+        g0 = terms[0][0]
+    else:
+        g0 = float(problem.diagonal)
+    if not isinstance(problem.rhs, SlowFunction):
+        raise ValueError("resolvent requires a catalog rhs")
+    ns = [n for n, _ in kernel.modes]
+    cs = [c.terms[0][0] if c.terms else 0.0 for _, c in kernel.modes]
+    return SeparableResolvent(g0, ns, cs, problem.rhs)
+
+
+def snapshot_from_callable(t0: float, func, n_max: int):
+    """SnapshotObservation of ``func(x)``; warns when coefficients decay slower than n^-4."""
+    series = sine_coefficients(func, n_max)
+    warning = None
+    scaled = np.array([abs(series.coefficient(n)(0.0)) * n**4
+                       for n in range(1, n_max + 1)])
+    if n_max >= 8:
+        head = scaled[: n_max // 2].max()
+        tail = scaled[n_max // 2:].max()
+        if tail > 4.0 * (head + 1e-14):
+            warning = (
+                "snapshot coefficients decay slower than n^-4; "
+                "profile may lack the required smoothness"
+            )
+    return SnapshotObservation(t0, series, warning)

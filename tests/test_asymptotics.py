@@ -179,7 +179,8 @@ class TestStructuralChecks:
 
 class TestResidualNorm:
     def test_exact_when_no_oscillation(self):
-        problem = HeatProblem(ENVELOPE, SourceFactor.steady(LINEAR_MEAN), 100.0, 1.0)
+        problem = HeatProblem(ENVELOPE, SourceFactor(LINEAR_MEAN, FastProfile.zero()),
+                              100.0, 1.0)
         assert residual_norm(problem, order=2, x_count=17, t_count=513) < 1e-10
 
     def test_order_one_residual_decreases(self):
@@ -249,7 +250,8 @@ class TestModalRemainder:
         assert abs(residual_norm(problem, expansion, order=order) - want) < 1e-14
 
     def test_steady_source_matches_grid_remainder(self):
-        problem = HeatProblem(ENVELOPE, SourceFactor.steady(LINEAR_MEAN), 100.0, 1.0)
+        problem = HeatProblem(ENVELOPE, SourceFactor(LINEAR_MEAN, FastProfile.zero()),
+                              100.0, 1.0)
         expansion = TwoTermExpansion.for_problem(problem)
         for order in (1, 2):
             want = grid_remainder(problem, expansion, order, x_count=17)

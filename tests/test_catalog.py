@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import osckit.catalog as catalog
 from osckit.catalog import (
     CatalogError,
     FastProfile,
@@ -14,11 +15,12 @@ from osckit.catalog import (
     SlowFunction,
     duhamel_slow,
     duhamel_weight,
+    exp_kernel_moment,
     sine_coefficients,
     sine_coefficients_in_time,
 )
 
-from _oracles import adaptive_integral, central_derivative, fast_mean
+from _oracles import adaptive_integral, central_derivative, fast_mean, times_exp
 
 RNG = np.random.default_rng(20240817)
 
@@ -73,7 +75,7 @@ class TestSlowCalculus:
         b = SlowFunction([(3.0, 2, 1.0)])
         t = np.linspace(0.0, 2.0, 9)
         assert np.allclose((a * b)(t), a(t) * b(t), rtol=1e-14)
-        assert np.allclose(a.times_exp(0.7)(t), a(t) * np.exp(0.7 * t), rtol=1e-14)
+        assert np.allclose(times_exp(a, 0.7)(t), a(t) * np.exp(0.7 * t), rtol=1e-14)
 
     def test_integral_then_derivative_round_trip(self):
         for seed in range(5):
@@ -348,6 +350,42 @@ class TestDuhamel:
             ref = duhamel_weight(n, g, t)
             bound = 1e-12 * (1.0 + np.max(np.abs(ref)))
             assert np.max(np.abs(slow(t) - ref)) <= bound, lam
+
+
+class TestExpKernelMomentZeroNode:
+    SPECTRAL_GRID = np.linspace(0.0, 1.0, 513)
+    OSCILLATORY = (-0.3 + 1e4j, 16.0)  # |rate + decay| t > 1 on every t > 0
+    NEAR_RESONANT = (-15.9 + 0.2j, 16.0)  # |rate + decay| t <= 1 on every t <= 1
+
+    def test_oscillatory_grid_sums_no_series_terms(self, monkeypatch):
+        requested = []
+        terms = catalog._moment_terms
+
+        def recorded(power, lam, series):
+            requested.append(series)
+            return terms(power, lam, series)
+
+        monkeypatch.setattr(catalog, "_moment_terms", recorded)
+        for power in (0, 1, 3):
+            exp_kernel_moment(power, *self.OSCILLATORY, self.SPECTRAL_GRID)
+        assert requested == [False, False, False]
+
+    @pytest.mark.parametrize("rate, decay", [OSCILLATORY, NEAR_RESONANT])
+    @pytest.mark.parametrize("power", [0, 2])
+    def test_zero_node_is_positive_zero(self, rate, decay, power):
+        scalar = exp_kernel_moment(power, rate, decay, 0.0)
+        first = exp_kernel_moment(power, rate, decay, self.SPECTRAL_GRID)[0]
+        for value in (scalar, first):
+            assert value == 0j
+            assert math.copysign(1.0, value.real) == 1.0
+            assert math.copysign(1.0, value.imag) == 1.0
+
+    @pytest.mark.parametrize("rate, decay", [OSCILLATORY, NEAR_RESONANT, (2.0, 1.0)])
+    def test_other_nodes_unchanged_by_zero_node(self, rate, decay):
+        t = self.SPECTRAL_GRID
+        full = exp_kernel_moment(1, rate, decay, t)
+        rest = exp_kernel_moment(1, rate, decay, t[1:])
+        assert np.array_equal(full[1:], rest)
 
 
 # ---------------------------------------------------------------------------

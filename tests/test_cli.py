@@ -98,6 +98,16 @@ class TestParsing:
         with pytest.raises(ScenarioError, match=name):
             parse_scenario_dict(payload)
 
+    def test_expansion_kinds_need_one_fast_period(self):
+        payload = forward_payload(omega=3.0, T=2.0)  # omega * T = 6 < 2 pi
+        assert parse_scenario_dict(payload).kind == "forward"
+        payload["kind"] = "asymptotics"
+        del payload["params"]["x0"]
+        with pytest.raises(ScenarioError, match="omega"):
+            parse_scenario_dict(payload)
+        payload["params"]["T"] = 2.1  # omega * T = 6.3 > 2 pi
+        assert parse_scenario_dict(payload).kind == "asymptotics"
+
     def test_non_numeric_list_entry_rejected(self):
         golden = serialize_scenario(builtin_scenario("golden"))
         golden["params"]["x_points"] = [1.5, "left"]
@@ -293,6 +303,8 @@ class TestCommandLine:
         ("inverse4", "golden", "--modes", "0"),
         ("convergence", "golden-convergence", "--omega-ladder", "nan"),
         ("convergence", "golden-convergence", "--omega-ladder", "64,inf"),
+        ("inverse4", "golden", "--grid", "1"),
+        ("convergence", "golden-convergence", "--omega-ladder", "1e-3,2e-3"),
     ])
     def test_invalid_override_is_scenario_error(self, kind, scenario, flag, value,
                                                 capsys):

@@ -14,9 +14,9 @@ from osckit.catalog import (
     duhamel_oscillatory,
     duhamel_weight,
 )
-from osckit.forward import HeatProblem, mode_amplitudes, solve_heat, solve_mode, trace
+from osckit.forward import HeatProblem, mode_amplitudes, solve_heat, trace
 
-from _oracles import field_oracle, mode_oracle, outer_sum
+from _oracles import field_oracle, mode_oracle, outer_sum, solve_mode
 
 
 def steady(mean, oscillation=None):

@@ -28,6 +28,8 @@ from osckit.inverse import (
     derivative_from_samples,
 )
 
+from _oracles import snapshot_from_callable
+
 
 ROOT3 = math.sqrt(3.0)
 ENVELOPE = SineSeries({1: 1.0, 2: 1.0})
@@ -314,19 +316,19 @@ class TestRecoverSpaceFactor:
         assert rms > 0.9 * abs(psi_vec[0]) / math.sqrt(2.0)
 
     def test_callable_snapshot_of_numpy_ufunc(self):
-        obs = SnapshotObservation.from_callable(1.0, np.sin, 8)
+        obs = snapshot_from_callable(1.0, np.sin, 8)
         assert abs(obs.coefficient_value(1) - 1.0) < 1e-13
         for n in range(2, 9):
             assert abs(obs.coefficient_value(n)) < 1e-13
 
     def test_callable_snapshot_decay_check(self):
-        obs = SnapshotObservation.from_callable(
+        obs = snapshot_from_callable(
             1.0, lambda x: (x * (math.pi - x)) ** 3, 16)
         assert obs.decay_warning is None
 
     def test_callable_snapshot_warns_on_rough_profile(self):
         # x does not extend oddly through pi: coefficients decay like 1/n
-        obs = SnapshotObservation.from_callable(1.0, lambda x: x, 16)
+        obs = snapshot_from_callable(1.0, lambda x: x, 16)
         assert obs.decay_warning is not None
 
 

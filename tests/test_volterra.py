@@ -9,7 +9,6 @@ import pytest
 from osckit.catalog import SineSeries, SlowFunction, duhamel_slow
 from osckit.volterra import (
     Kernel,
-    SeparableResolvent,
     SingularEquationError,
     VolterraProblem,
     build_kernel,
@@ -17,7 +16,7 @@ from osckit.volterra import (
     solve,
 )
 
-from _oracles import discrete_residual
+from _oracles import discrete_residual, resolvent_from_problem
 
 LINEAR = SlowFunction.monomial(1.0, 1)
 
@@ -150,12 +149,12 @@ class TestConvergenceOrder:
 
 class TestSeparableResolvent:
     def test_reference_equation_exact_solution(self):
-        resolvent = SeparableResolvent.from_problem(reference_problem())
+        resolvent = resolvent_from_problem(reference_problem())
         t = np.linspace(0.0, 2.0, 41)
         assert np.max(np.abs(resolvent(t) - t)) < 1e-13
 
     def test_mode_integrals_match_closed_forms(self):
-        resolvent = SeparableResolvent.from_problem(reference_problem())
+        resolvent = resolvent_from_problem(reference_problem())
         t = np.linspace(0.0, 2.0, 21)
         # solution is l(s) = s, so y_1(t) = integral e^{-(t-s)} s ds
         want = duhamel_slow(1, LINEAR)(t)
@@ -175,7 +174,7 @@ class TestSeparableResolvent:
             problem = VolterraProblem(SlowFunction.constant(g0), kernel, rhs,
                                       1.5, 2048)
             marching = solve(problem)
-            resolvent = SeparableResolvent.from_problem(problem)
+            resolvent = resolvent_from_problem(problem)
             diff = np.max(np.abs(marching.values - resolvent(marching.axes[0])))
             assert diff < 5e-6  # marching O(h^2) against the exact path
 
@@ -183,4 +182,4 @@ class TestSeparableResolvent:
         problem = replace(reference_problem(),
                           kernel=Kernel(((1, LINEAR),)))
         with pytest.raises(ValueError, match="constant"):
-            SeparableResolvent.from_problem(problem)
+            resolvent_from_problem(problem)
