@@ -23,6 +23,7 @@ from .catalog import (
     CatalogError,
     FastProfile,
     GridFunction,
+    SampledSeries,
     SineSeries,
     SlowFunction,
     SourceFactor,
@@ -31,7 +32,6 @@ from .catalog import (
     duhamel_weight,
     exp_kernel_moment,
     sine_coefficients,
-    sine_coefficients_in_time,
 )
 from .forward import HeatProblem, solve_heat, trace
 from .asymptotics import (
@@ -94,8 +94,8 @@ __all__ = [
     "SineSeries",
     "SourceFactor",
     "GridFunction",
+    "SampledSeries",
     "sine_coefficients",
-    "sine_coefficients_in_time",
     "duhamel_weight",
     "duhamel_oscillatory",
     "duhamel_slow",

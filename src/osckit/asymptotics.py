@@ -64,13 +64,10 @@ class LeadingTerm:
     def mode_amplitude_slow(self, n: int) -> SlowFunction:
         return duhamel_slow(n, self.envelope.coefficient(n) * self.mean)
 
-    def _grid(self, x, t, amplitude) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        rows = [amplitude(n, t) for n in self.modes]
-        return sine_synthesis(x, self.modes, np.reshape(rows, (-1, t.size)))
-
     def evaluate_grid(self, x, t) -> np.ndarray:
-        return self._grid(x, t, self.mode_amplitude)
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        rows = [self.mode_amplitude(n, t) for n in self.modes]
+        return sine_synthesis(x, self.modes, np.reshape(rows, (-1, t.size)))
 
     def __call__(self, x, t):
         return float(self.evaluate_grid([x], [t])[0, 0])
@@ -78,13 +75,6 @@ class LeadingTerm:
     def at_x(self, x0: float) -> SlowFunction:
         """Exact slow trace ``t -> u0(x0, t)``."""
         return SineSeries({n: self.mode_amplitude_slow(n) for n in self.modes}).at_x(x0)
-
-    def time_derivative_grid(self, x, t) -> np.ndarray:
-        """du0/dt from the termwise-differentiated closed forms."""
-        return self._grid(x, t, lambda n, t: self.mode_amplitude_slow(n).derivative()(t))
-
-    def xx_derivative_grid(self, x, t) -> np.ndarray:
-        return self._grid(x, t, lambda n, t: -(n * n) * self.mode_amplitude(n, t))
 
 
 @dataclass(frozen=True)
@@ -189,10 +179,9 @@ class TwoTermExpansion:
         return out
 
 
-def resolving_time_count(omega: float, horizon: float,
-                         points_per_period: int = POINTS_PER_PERIOD) -> int:
+def resolving_time_count(omega: float, horizon: float) -> int:
     periods = omega * horizon / (2.0 * math.pi)
-    return max(int(math.ceil(points_per_period * periods)) + 1, 513)
+    return max(int(math.ceil(POINTS_PER_PERIOD * periods)) + 1, 513)
 
 
 def residual_norm(problem: HeatProblem, expansion: TwoTermExpansion | None = None,

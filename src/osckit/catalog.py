@@ -6,7 +6,8 @@ with slow amplitudes; spatial envelopes are finite sine series on
 ``[0, pi]``.  The catalog is closed under termwise calculus, products, and
 Duhamel convolution against ``e^{-n^2 (t-s)}``, so every time integral the
 solvers need is evaluated in closed form instead of by time stepping.
-Arbitrary callables are admitted only through sampling plus quadrature.
+Sampled data ``f(x, t)`` stays outside the catalog as ``SampledSeries``,
+whose sine coefficients come from quadrature.
 
 Each such integral is ``int_0^t e^{-d (t-s)} s^m e^{r s} ds``, taken by parts
 or, where ``|r + d| t <= 1``, as a power series; symbolic results (no t)
@@ -28,8 +29,8 @@ __all__ = [
     "SineSeries",
     "SourceFactor",
     "GridFunction",
+    "SampledSeries",
     "sine_coefficients",
-    "sine_coefficients_in_time",
     "duhamel_weight",
     "duhamel_oscillatory",
     "duhamel_slow",
@@ -287,28 +288,17 @@ class FastProfile:
 class SineSeries:
     """``u(x, t) = sum_{n>=1} c_n(t) sin(n x)`` with catalog coefficients.
 
-    Coefficients are SlowFunctions (constants are wrapped); a plain callable
-    ``t -> value`` is also accepted for sampled data, as returned by
-    ``sine_coefficients_in_time``, in which case the exact transforms
-    (``at_x``, kernels, Duhamel) are unavailable.
+    Coefficients are SlowFunctions (constants are wrapped); anything else
+    raises ``CatalogError``.  Sampled data belongs in ``SampledSeries``.
     """
 
     __slots__ = ("modes",)
 
     def __init__(self, modes=None):
-        cleaned: dict[int, object] = {}
-        for n, value in (modes or {}).items():
-            n = int(n)
-            if n < 1:
-                raise CatalogError("sine series modes start at n = 1")
-            if isinstance(value, (int, float, SlowFunction)):
-                value = _as_slow(value)
-                if value.is_zero:
-                    continue
-            elif not callable(value):
-                raise CatalogError(f"mode {n} coefficient {value!r} unusable")
-            cleaned[n] = value
-        self.modes = dict(sorted(cleaned.items()))
+        cleaned = {int(n): _as_slow(value) for n, value in (modes or {}).items()}
+        if any(n < 1 for n in cleaned):
+            raise CatalogError("sine series modes start at n = 1")
+        self.modes = {n: c for n, c in sorted(cleaned.items()) if not c.is_zero}
 
     @classmethod
     def from_coefficients(cls, coeffs) -> "SineSeries":
@@ -320,18 +310,11 @@ class SineSeries:
         return max(self.modes) if self.modes else 0
 
     @property
-    def is_catalog(self) -> bool:
-        return all(isinstance(v, SlowFunction) for v in self.modes.values())
-
-    @property
     def is_zero(self) -> bool:
         return not self.modes
 
     def coefficient(self, n: int) -> SlowFunction:
-        value = self.modes.get(int(n), SlowFunction.zero())
-        if not isinstance(value, SlowFunction):
-            raise CatalogError(f"mode {n} coefficient is sampled, not catalog")
-        return value
+        return self.modes.get(int(n), SlowFunction.zero())
 
     def __eq__(self, other):
         return isinstance(other, SineSeries) and self.modes == other.modes
@@ -351,15 +334,17 @@ class SineSeries:
             return float(out)
         return out
 
+    def table(self, t) -> np.ndarray:
+        """Coefficient values ``c_n(t)``, shape ``(len(modes), len(t))``, in mode order."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        return np.reshape([c(t) for c in self.modes.values()], (-1, t.size))
+
     def evaluate_grid(self, x, t) -> np.ndarray:
         """Values on the tensor grid, shape ``(len(x), len(t))``."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        rows = [np.broadcast_to(np.asarray(c(t), float), t.shape)
-                for c in self.modes.values()]
-        return sine_synthesis(x, list(self.modes), np.reshape(rows, (-1, t.size)))
+        return sine_synthesis(x, list(self.modes), self.table(t))
 
     def at_x(self, x0: float) -> SlowFunction:
-        """The slow trace ``t -> u(x0, t)`` (catalog coefficients only)."""
+        """The slow trace ``t -> u(x0, t)``."""
         out = SlowFunction.zero()
         for n in self.modes:
             out = out + self.coefficient(n) * math.sin(n * x0)
@@ -484,8 +469,8 @@ def sine_coefficients(func, n_max: int, quadrature_points: int | None = None,
     Composite Gauss-Legendre, with the panel count doubled until two
     successive passes agree to ``tol``.  ``func`` is a profile of ``x``
     alone and is called as ``func(x)``; the coefficients are catalog
-    constants.  For a time-dependent ``f(x, t)`` use
-    ``sine_coefficients_in_time``.
+    constants.  A time-dependent ``f(x, t)`` is sampled data: use
+    ``SampledSeries``.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -493,40 +478,36 @@ def sine_coefficients(func, n_max: int, quadrature_points: int | None = None,
     return SineSeries({n: c for n, c in zip(range(1, n_max + 1), coeffs) if abs(c) > 1e-300})
 
 
-def sine_coefficients_in_time(func, n_max: int, quadrature_points: int | None = None,
-                              tol: float = 1e-12) -> SineSeries:
-    """Sine coefficients ``(2/pi) * integral_0^pi f(x, t) sin(n x) dx`` of ``f(x, t)``.
+@dataclass(frozen=True)
+class SampledSeries:
+    """Sine coefficients of sampled data ``f(x, t)``, modes ``1..n_max``.
 
-    ``func`` is called as ``func(x, t)``.  Mode ``n`` of the result is a
-    plain callable of ``t`` (scalar or array) that runs the quadrature of
-    ``sine_coefficients`` at each requested time, so the series is sampled
-    data outside the exact catalog: ``SineSeries.is_catalog`` is false and
-    the exact transforms raise ``CatalogError``.  One quadrature pass per
-    distinct time serves every mode: the modes share the coefficient table
-    of the most recently requested times.
+    Outside the catalog: only the forward solver's quadrature path accepts
+    it.  ``func`` is called as ``func(x, t)``; each distinct time gets one
+    ``sine_coefficients`` quadrature, which serves every mode.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    memo = [None]  # (key, table) of the most recent request
 
-    def table(tv: np.ndarray) -> np.ndarray:
-        key = (tv.shape, tv.tobytes())
-        hit = memo[0]
-        if hit is None or hit[0] != key:
-            times, where = np.unique(tv, return_inverse=True)
-            rows = np.array([_converged_coefficients(lambda x: func(x, ti), n_max,
-                                                     quadrature_points, tol)
-                             for ti in times.tolist()]).reshape(-1, n_max)
-            hit = memo[0] = (key, rows[where.reshape(tv.shape)])
-        return hit[1]
+    func: object
+    n_max: int
+    quadrature_points: int | None = None
+    tol: float = 1e-12
 
-    def make_coeff(n):
-        def coeff(t):
-            out = table(np.asarray(t, dtype=float))[..., n - 1]
-            return float(out) if out.ndim == 0 else out
-        return coeff
+    def __post_init__(self):
+        if self.n_max < 1:
+            raise ValueError("n_max must be >= 1")
 
-    return SineSeries({n: make_coeff(n) for n in range(1, n_max + 1)})
+    @property
+    def modes(self) -> range:
+        return range(1, self.n_max + 1)
+
+    def table(self, t) -> np.ndarray:
+        """Coefficient values at the times ``t``, shape ``(n_max, len(t))``."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        times, where = np.unique(t, return_inverse=True)
+        rows = [_converged_coefficients(lambda x: self.func(x, ti), self.n_max,
+                                        self.quadrature_points, self.tol)
+                for ti in times.tolist()]
+        return np.reshape(rows, (-1, self.n_max))[where].T.copy()  # C order: one row per mode
 
 
 # ---------------------------------------------------------------------------

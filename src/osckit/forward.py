@@ -4,10 +4,10 @@
     parabolic boundary (t = 0 and x = 0, pi).
 
 Each sine mode obeys ``u_n' = -n^2 u_n + f_n(t) r(t, omega t)`` and is
-integrated by the Duhamel formula.  Catalog inputs reduce the oscillatory
-part to complex-rate exponential moments, so cost and accuracy are
-independent of omega; a composite-Gauss quadrature fallback covers sampled
-sources.
+integrated by the Duhamel formula.  A catalog envelope (``SineSeries``)
+reduces the oscillatory part to complex-rate exponential moments, so cost
+and accuracy are independent of omega; a sampled one (``SampledSeries``)
+takes a composite-Gauss quadrature that resolves the fast phase.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import (
+    CatalogError,
     GridFunction,
+    SampledSeries,
     SineSeries,
-    SlowFunction,
     SourceFactor,
     _gauss_nodes,
     duhamel_oscillatory,
@@ -31,18 +32,22 @@ from .catalog import (
 __all__ = ["HeatProblem", "mode_amplitudes", "oscillatory_amplitudes", "solve_heat",
            "trace"]
 
+TAIL_TOL = 1e-9  # mode truncation tail estimate above which solve_heat warns
+
 
 @dataclass(frozen=True)
 class HeatProblem:
     """Forcing data ``envelope(x, t) * factor(t, omega t)`` plus horizon."""
 
-    envelope: SineSeries
+    envelope: SineSeries | SampledSeries
     factor: SourceFactor
     omega: float
     horizon: float
     n_max: int = 32
 
     def __post_init__(self):
+        if not isinstance(self.envelope, (SineSeries, SampledSeries)):
+            raise TypeError(f"envelope {self.envelope!r} is not a SineSeries or SampledSeries")
         if self.omega <= 0:
             raise ValueError("omega must be positive")
         if self.horizon <= 0:
@@ -59,8 +64,10 @@ def oscillatory_amplitudes(problem: HeatProblem, modes, t: np.ndarray) -> np.nda
     """Closed-form Duhamel part of ``u_n(t)`` driven by the oscillation ``r - r0``.
 
     One row per entry of ``modes``; exponential moments are taken per
-    (mode, harmonic, term).
+    (mode, harmonic, term); a sampled envelope raises ``CatalogError``.
     """
+    if isinstance(problem.envelope, SampledSeries):
+        raise CatalogError("a sampled envelope has no closed-form amplitudes")
     out = np.zeros((len(modes), t.size))
     for row, n in zip(out, modes):
         fn = problem.envelope.coefficient(n)
@@ -73,20 +80,19 @@ def oscillatory_amplitudes(problem: HeatProblem, modes, t: np.ndarray) -> np.nda
     return out
 
 
-def _amplitudes_quadrature(problem: HeatProblem, modes, t: np.ndarray,
-                           step: float) -> tuple[np.ndarray, np.ndarray]:
+def _amplitudes_quadrature(problem: HeatProblem, modes,
+                           t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exponential-integrator marching with per-panel Gauss quadrature.
 
     Marches u' = -n^2 u + q for every mode at once on panels no wider than
-    ``step``; each panel integral of e^{-n^2 (t_{i+1}-s)} q(s) uses 8-point
-    Gauss-Legendre, for the mean and the oscillatory forcing separately.
+    1/32 of a fast period; each panel integral of e^{-n^2 (t_{i+1}-s)} q(s)
+    uses 8-point Gauss-Legendre, for the mean and the oscillatory forcing
+    separately.  ``modes`` are modes of the sampled envelope.
     """
-    if step > math.pi / (2.0 * problem.omega):
-        raise ValueError(
-            "quadrature step does not resolve the oscillation: "
-            f"step {step:g} > pi/(2 omega) = {math.pi / (2 * problem.omega):g}"
-        )
-    coeffs = [problem.envelope.modes.get(n, SlowFunction.zero()) for n in modes]
+    if max(modes, default=0) > problem.envelope.n_max:
+        raise ValueError(f"modes {list(modes)} exceed the sampled n_max {problem.envelope.n_max}")
+    step = 2.0 * math.pi / (32.0 * problem.omega)
+    rows = np.asarray(modes, dtype=int) - 1
     factor = problem.factor
     n2 = np.array([float(n * n) for n in modes])[:, None]
     out = np.zeros((2, len(modes), t.size))
@@ -98,8 +104,7 @@ def _amplitudes_quadrature(problem: HeatProblem, modes, t: np.ndarray,
         if span > 0:
             panels = max(1, int(math.ceil(span / step)))
             nodes, weights = _gauss_nodes(pos, target, panels, 8)
-            fn = np.reshape([np.broadcast_to(np.asarray(c(nodes), float), nodes.shape)
-                             for c in coeffs], (-1, nodes.size))
+            fn = problem.envelope.table(nodes)[rows]
             kernel = fn * np.exp(-n2 * (target - nodes)) * weights
             drive = (factor.mean(nodes), factor.oscillation(nodes, problem.omega * nodes))
             u = u * np.exp(-n2[:, 0] * span) + np.stack([kernel @ d for d in drive])
@@ -108,56 +113,48 @@ def _amplitudes_quadrature(problem: HeatProblem, modes, t: np.ndarray,
     return out[0], out[1]
 
 
-def mode_amplitudes(problem: HeatProblem, modes, t: np.ndarray, method: str = "auto",
-                    quadrature_step: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def mode_amplitudes(problem: HeatProblem, modes,
+                    t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and oscillatory Duhamel parts of ``u_n(t)`` for each of ``modes``.
 
     Returns two ``(len(modes), len(t))`` arrays whose sum is ``u_n(t)``: the
     part driven by the mean ``r0`` and the part driven by the oscillation
-    ``r - r0``.  Catalog envelopes take the closed forms; sampled ones take
-    the marching quadrature, which fills the same two arrays.
+    ``r - r0``.  A ``SineSeries`` envelope takes the closed forms; a
+    ``SampledSeries`` takes the marching quadrature, which fills the same
+    two arrays.
     """
-    if method == "auto":
-        method = "closed" if problem.envelope.is_catalog else "quadrature"
-    if method == "closed":
-        mean = [duhamel_weight(n, problem.envelope.coefficient(n) * problem.factor.mean, t)
-                for n in modes]
-        return (np.reshape(mean, (-1, t.size)),
-                oscillatory_amplitudes(problem, modes, t))
-    if method == "quadrature":
-        step = quadrature_step
-        if step is None:
-            step = 2.0 * math.pi / (32.0 * problem.omega)
-        return _amplitudes_quadrature(problem, modes, t, step)
-    raise ValueError(f"unknown method {method!r}")
+    if isinstance(problem.envelope, SampledSeries):
+        return _amplitudes_quadrature(problem, modes, t)
+    mean = [duhamel_weight(n, problem.envelope.coefficient(n) * problem.factor.mean, t)
+            for n in modes]
+    return (np.reshape(mean, (-1, t.size)),
+            oscillatory_amplitudes(problem, modes, t))
 
 
-def _tail_estimate(problem: HeatProblem, horizon: float) -> float:
-    tail = 0.0
-    probe = np.linspace(0.0, horizon, 65)
-    for n, coeff in problem.envelope.modes.items():
-        if n > problem.n_max:
-            sup = float(np.max(np.abs(np.asarray(coeff(probe), dtype=float))))
-            tail += sup / (n * n)
-    return tail
+def _tail_estimate(problem: HeatProblem) -> float:
+    modes = list(problem.envelope.modes)
+    if max(modes, default=0) <= problem.n_max:
+        return 0.0
+    table = problem.envelope.table(np.linspace(0.0, problem.horizon, 65))
+    sups = np.max(np.abs(table), axis=1).tolist()
+    return sum(s / (n * n) for n, s in zip(modes, sups) if n > problem.n_max)
 
 
-def solve_heat(problem: HeatProblem, x_count: int, t_count: int,
-               tail_tol: float = 1e-9, method: str = "auto") -> GridFunction:
+def solve_heat(problem: HeatProblem, x_count: int, t_count: int) -> GridFunction:
     """Field ``u(x_i, t_j)`` as a 2-D grid function (deterministic)."""
     if x_count < 2 or t_count < 2:
         raise ValueError("grid counts must be >= 2")
     x = np.linspace(0.0, math.pi, x_count)
     t = np.linspace(0.0, problem.horizon, t_count)
     modes = problem.active_modes
-    mean, osc = mode_amplitudes(problem, modes, t, method)
+    mean, osc = mode_amplitudes(problem, modes, t)
     values = sine_synthesis(x, modes, mean + osc)
     meta = {"omega": problem.omega, "n_max": problem.n_max, "warnings": []}
-    tail = _tail_estimate(problem, problem.horizon)
+    tail = _tail_estimate(problem)
     meta["tail_estimate"] = tail
-    if tail > tail_tol:
+    if tail > TAIL_TOL:
         meta["warnings"].append(
-            f"mode truncation tail estimate {tail:.3e} above {tail_tol:.1e}"
+            f"mode truncation tail estimate {tail:.3e} above {TAIL_TOL:.1e}"
         )
     return GridFunction((x, t), values, meta)
 

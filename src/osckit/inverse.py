@@ -64,6 +64,7 @@ WEIGHT_ZERO_TOL = 1e-10     # |L_n| < tol * n^-2 declares the weight zero
 COEFF_ZERO_TOL = 1e-10      # snapshot coefficient treated as zero
 GAUGE_FLOOR = 1e-10
 RCOND_FLOOR = 1e-10
+WINDOW_POINTS = 257         # nodes of the inverse-4 consistency window
 
 
 class IllConditionedSystemError(ValueError):
@@ -75,10 +76,15 @@ class IllConditionedSystemError(ValueError):
 # ---------------------------------------------------------------------------
 
 def _check_leading(leading, horizon: float):
+    """Catalog or sampled, the leading trace is finite and vanishes at t = 0."""
     if isinstance(leading, SlowFunction):
-        scale = leading.sup_on(0.0, horizon)
-        if abs(leading(0.0)) > 1e-10 * (1.0 + scale):
-            raise ValueError("leading trace must vanish at t = 0")
+        values = leading(np.linspace(0.0, horizon, 1025))
+    else:
+        values = np.atleast_1d(np.asarray(leading, dtype=float))
+        if not np.all(np.isfinite(values)):
+            raise ValueError("sampled leading trace must be finite")
+    if abs(values[0]) > 1e-10 * (1.0 + float(np.max(np.abs(values)))):
+        raise ValueError("leading trace must vanish at t = 0")
 
 
 @dataclass(frozen=True)
@@ -110,7 +116,6 @@ class SnapshotObservation:
 
     t0: float
     profile: SineSeries
-    decay_warning: str | None = None
 
     def __post_init__(self):
         if self.t0 <= 0:
@@ -160,9 +165,6 @@ class MultiPointObservation:
     @property
     def order(self) -> int:
         return len(self.x_points)
-
-    def window(self, points: int = 257) -> np.ndarray:
-        return np.linspace(self.t0 - self.half_width, self.t0 + self.half_width, points)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +313,8 @@ def recover_space_factor(obs: SnapshotObservation, mean: SlowFunction,
     Modes with vanishing weight admit any coefficient when the matching
     snapshot coefficient vanishes (the zero representative is returned and
     the result flagged non-unique); a non-vanishing snapshot coefficient
-    there makes the data unsolvable.
+    there makes the data unsolvable.  Snapshot coefficients decaying slower
+    than n^-4 (``n^4 |psi_n|`` growing over the modes) add a warning.
     """
     spectrum = mode_weight_spectrum(mean, obs.t0, n_max, tol_weight)
     warnings = []
@@ -321,13 +324,17 @@ def recover_space_factor(obs: SnapshotObservation, mean: SlowFunction,
         warnings.append(
             f"snapshot carries modes above n_max = {n_max}; they were ignored"
         )
-    if obs.decay_warning:
-        warnings.append(obs.decay_warning)
+    psi = [obs.coefficient_value(n) for n in range(1, n_max + 1)]
+    if n_max >= 8:
+        scaled = np.abs(psi) * np.arange(1, n_max + 1) ** 4.0
+        # growth beyond rounding; exact n^-4 decay keeps scaled sizes level
+        if scaled[n_max // 2:].max() > (1.0 + 1e-9) * scaled[: n_max // 2].max() + 1e-14:
+            warnings.append("snapshot coefficients decay slower than n^-4; "
+                            "profile may lack the required smoothness")
 
     coeffs: dict[int, float] = {}
     offending = []
-    for n in range(1, n_max + 1):
-        psi_n = obs.coefficient_value(n)
+    for n, psi_n in enumerate(psi, start=1):
         if spectrum.is_zero(n):
             if abs(psi_n) > tol_coeff:
                 offending.append(n)
@@ -478,8 +485,7 @@ class BothFactorsRecovery:
 
 
 def recover_both_factors(obs: MultiPointObservation, intervals: int = 2048,
-                         consistency_tol: float | None = None,
-                         window_points: int = 257) -> BothFactorsRecovery:
+                         consistency_tol: float | None = None) -> BothFactorsRecovery:
     """Full pipeline: two linear systems, Volterra equation, gauge, check.
 
     The reported mean factor is the product-trapezoidal Volterra solution
@@ -518,7 +524,7 @@ def recover_both_factors(obs: MultiPointObservation, intervals: int = 2048,
     if abs(gauge) < GAUGE_FLOOR:
         raise ValueError(f"mean factor at t0 is {gauge:.2e}; gauge undefined")
 
-    window = obs.window(window_points)
+    window = np.linspace(obs.t0 - obs.half_width, obs.t0 + obs.half_width, WINDOW_POINTS)
     if n > 1:
         y = resolvent.mode_integrals(window)
         per_point = []

@@ -50,14 +50,6 @@ class Kernel:
             out = out + c(s) * np.exp(-float(n * n) * (t - s))
         return float(out) if out.ndim == 0 else out
 
-    @property
-    def is_constant(self) -> bool:
-        """True when every coefficient is a constant (convolution kernel)."""
-        return all(
-            len(c.terms) == 0 or (len(c.terms) == 1 and c.terms[0][1:] == (0, 0.0))
-            for _, c in self.modes
-        )
-
 
 def build_kernel(envelope: SineSeries, x0: float, n_max: int = 32) -> Kernel:
     """Kernel ``-sum_n n^2 f_n(s) sin(n x0) e^{-n^2 (t-s)}`` of the trace equation.

@@ -10,7 +10,8 @@ product and its mode-by-mode remainder.
 
 The last helpers are conveniences over library paths that only the tests
 need: one mode's amplitude, a rate shift, a resolvent built from a Volterra
-problem and a snapshot sampled from a callable.
+problem, a snapshot sampled from a callable, and the time and space
+derivatives of the leading term on a grid.
 """
 
 import math
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from osckit.asymptotics import resolving_time_count
-from osckit.catalog import GridFunction, SlowFunction, sine_coefficients
+from osckit.catalog import GridFunction, SlowFunction, sine_coefficients, sine_synthesis
 from osckit.forward import mode_amplitudes, solve_heat
 from osckit.inverse import SnapshotObservation
 from osckit.volterra import Kernel, SeparableResolvent
@@ -133,13 +134,12 @@ def discrete_residual(problem, solution) -> np.ndarray:
     return res
 
 
-def solve_mode(problem, n: int, t, method: str = "auto",
-               quadrature_step: float | None = None):
+def solve_mode(problem, n: int, t):
     """Mode amplitude ``u_n(t) = integral_0^t e^{-n^2(t-s)} f_n(s) r(s, omega s) ds``."""
     if not 1 <= n <= problem.n_max:
         raise ValueError(f"mode {n} outside 1..{problem.n_max}")
     arr = np.asarray(t, dtype=float)
-    mean, osc = mode_amplitudes(problem, [n], arr.ravel(), method, quadrature_step)
+    mean, osc = mode_amplitudes(problem, [n], arr.ravel())
     out = (mean[0] + osc[0]).reshape(arr.shape)
     return float(out) if arr.ndim == 0 else out
 
@@ -149,10 +149,18 @@ def times_exp(g, rate: float):
     return SlowFunction(tuple((c, m, r + float(rate)) for c, m, r in g.terms))
 
 
+def is_constant(kernel) -> bool:
+    """True when every coefficient of a Kernel is a constant (convolution kernel)."""
+    return all(
+        len(c.terms) == 0 or (len(c.terms) == 1 and c.terms[0][1:] == (0, 0.0))
+        for _, c in kernel.modes
+    )
+
+
 def resolvent_from_problem(problem):
     """SeparableResolvent of a constant-coefficient Volterra problem."""
     kernel = problem.kernel
-    if not isinstance(kernel, Kernel) or not kernel.is_constant:
+    if not isinstance(kernel, Kernel) or not is_constant(kernel):
         raise ValueError("resolvent requires a constant separable kernel")
     if isinstance(problem.diagonal, SlowFunction):
         terms = problem.diagonal.terms
@@ -169,17 +177,21 @@ def resolvent_from_problem(problem):
 
 
 def snapshot_from_callable(t0: float, func, n_max: int):
-    """SnapshotObservation of ``func(x)``; warns when coefficients decay slower than n^-4."""
-    series = sine_coefficients(func, n_max)
-    warning = None
-    scaled = np.array([abs(series.coefficient(n)(0.0)) * n**4
-                       for n in range(1, n_max + 1)])
-    if n_max >= 8:
-        head = scaled[: n_max // 2].max()
-        tail = scaled[n_max // 2:].max()
-        if tail > 4.0 * (head + 1e-14):
-            warning = (
-                "snapshot coefficients decay slower than n^-4; "
-                "profile may lack the required smoothness"
-            )
-    return SnapshotObservation(t0, series, warning)
+    """SnapshotObservation of the profile ``func(x)``, modes 1..n_max."""
+    return SnapshotObservation(t0, sine_coefficients(func, n_max))
+
+
+def _leading_grid(u0, x, t, amplitude):
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    rows = [amplitude(n, t) for n in u0.modes]
+    return sine_synthesis(x, u0.modes, np.reshape(rows, (-1, t.size)))
+
+
+def time_derivative_grid(u0, x, t):
+    """du0/dt of a LeadingTerm from the termwise-differentiated closed forms."""
+    return _leading_grid(u0, x, t, lambda n, t: u0.mode_amplitude_slow(n).derivative()(t))
+
+
+def xx_derivative_grid(u0, x, t):
+    """d^2 u0/dx^2 of a LeadingTerm on the grid."""
+    return _leading_grid(u0, x, t, lambda n, t: -(n * n) * u0.mode_amplitude(n, t))

@@ -18,7 +18,14 @@ from osckit.asymptotics import (
 from osckit.catalog import FastProfile, SineSeries, SlowFunction, SourceFactor
 from osckit.forward import HeatProblem
 
-from _oracles import central_derivative, compose, grid_remainder, outer_sum
+from _oracles import (
+    central_derivative,
+    compose,
+    grid_remainder,
+    outer_sum,
+    time_derivative_grid,
+    xx_derivative_grid,
+)
 
 ENVELOPE = SineSeries({1: 1.0, 2: 1.0})
 LINEAR_MEAN = SlowFunction.monomial(1.0, 1)
@@ -161,8 +168,8 @@ class TestStructuralChecks:
         rng = np.random.default_rng(31)
         x = rng.uniform(0.3, math.pi - 0.3, 8)
         t = rng.uniform(0.1, 1.9, 8)
-        dudt = u0.time_derivative_grid(x, t)
-        dudxx = u0.xx_derivative_grid(x, t)
+        dudt = time_derivative_grid(u0, x, t)
+        dudxx = xx_derivative_grid(u0, x, t)
         forcing = ENVELOPE.evaluate_grid(x, t) * LINEAR_MEAN(t)[None, :]
         assert np.max(np.abs(dudt - dudxx - forcing)) < 1e-8
         for i in (0, 3):
@@ -303,10 +310,10 @@ class TestSynthesis:
         x, t = self.X, self.T
         assert np.max(np.abs(u0.evaluate_grid(x, t) - outer_sum(
             x, t, u0.modes, lambda n: u0.mode_amplitude(n, t)))) < 1e-14
-        assert np.max(np.abs(u0.time_derivative_grid(x, t) - outer_sum(
+        assert np.max(np.abs(time_derivative_grid(u0, x, t) - outer_sum(
             x, t, u0.modes,
             lambda n: u0.mode_amplitude_slow(n).derivative()(t)))) < 1e-14
-        assert np.max(np.abs(u0.xx_derivative_grid(x, t) - outer_sum(
+        assert np.max(np.abs(xx_derivative_grid(u0, x, t) - outer_sum(
             x, t, u0.modes, lambda n: -n * n * u0.mode_amplitude(n, t)))) < 1e-14
 
     def test_initial_layer_grid(self):

@@ -11,13 +11,14 @@ from osckit.catalog import (
     CatalogError,
     FastProfile,
     GridFunction,
+    SampledSeries,
     SineSeries,
     SlowFunction,
     duhamel_slow,
     duhamel_weight,
     exp_kernel_moment,
     sine_coefficients,
-    sine_coefficients_in_time,
+    sine_synthesis,
 )
 
 from _oracles import adaptive_integral, central_derivative, fast_mean, times_exp
@@ -224,12 +225,11 @@ class TestSineSeries:
     def test_x_profile_with_extra_parameters_is_catalog(self, func, want):
         # each signature shows more than one parameter, yet f is called as f(x)
         series = sine_coefficients(func, 3)
-        assert series.is_catalog
         for n, c in enumerate(want, start=1):
             assert abs(series.coefficient(n)(0.0) - c) < 1e-12
 
     def test_two_argument_profile_rejected(self):
-        # f(x, t) belongs to sine_coefficients_in_time, never silently sampled
+        # f(x, t) belongs to SampledSeries, never silently sampled
         with pytest.raises(TypeError):
             sine_coefficients(lambda x, t: (1.0 + t) * np.sin(x), 2)
 
@@ -251,12 +251,16 @@ class TestSineSeries:
             assert abs(slow(t) - series(x0, t)) < 1e-14
 
     def test_time_dependent_callable_coefficients(self):
-        series = sine_coefficients_in_time(
-            lambda x, t: (1.0 + t) * np.sin(x), 2, quadrature_points=16)
-        assert abs(series.modes[1](0.5) - 1.5) < 1e-10
-        assert not series.is_catalog
+        series = SampledSeries(lambda x, t: (1.0 + t) * np.sin(x), 2, quadrature_points=16)
+        assert list(series.modes) == [1, 2]
+        table = series.table(np.array([0.0, 0.5]))
+        assert table.shape == (2, 2)
+        assert np.max(np.abs(table - [[1.0, 1.5], [0.0, 0.0]])) < 1e-10
+
+    @pytest.mark.parametrize("value", [lambda t: t, "1.0", None])
+    def test_sine_series_admits_only_catalog_coefficients(self, value):
         with pytest.raises(CatalogError):
-            series.at_x(1.0)
+            SineSeries({1: value})
 
     def test_time_samples_share_one_pass_per_time(self):
         def profile(x, t):
@@ -268,16 +272,18 @@ class TestSineSeries:
         counts = []
         for n_max in (1, 4, 16):
             calls = []
-            series = sine_coefficients_in_time(profile, n_max, quadrature_points=16)
-            grid = series.evaluate_grid(x, t)
+            series = SampledSeries(profile, n_max, quadrature_points=16)
+            table = series.table(t)
             counts.append(len(calls))
             assert sorted(set(calls)) == [0.0, 0.25, 0.5, 1.0]
+            assert table.shape == (n_max, t.size)
+            grid = sine_synthesis(x, series.modes, table)
             for j, tj in enumerate(t):
                 # the same values as one sine_coefficients pass at that time
                 want = sine_coefficients(lambda xs: profile(xs, tj), n_max, 16)
                 for n in range(1, n_max + 1):
-                    assert series.modes[n](t)[j] == want.coefficient(n)(0.0)
-                    assert series.modes[n](tj) == want.coefficient(n)(0.0)
+                    assert table[n - 1, j] == want.coefficient(n)(0.0)
+                    assert series.table(tj)[n - 1, 0] == want.coefficient(n)(0.0)
                 column = want.evaluate_grid(x, [0.0])[:, 0]
                 assert np.max(np.abs(grid[:, j] - column)) < 1e-15
         assert counts[0] == counts[1] == counts[2]

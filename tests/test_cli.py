@@ -217,6 +217,20 @@ class TestRun:
         assert report.results["status"] == "unsolvable"
         assert report.results["offending_modes"] == [1]
 
+    def test_inverse2_slow_snapshot_decay_warned(self):
+        # psi_n = 1/n^2: n^4 psi_n grows fourfold from modes 1..8 to 9..16
+        scenario = parse_scenario_dict({
+            "kind": "inverse2",
+            "params": {"t0": 1.0, "n_max": 16},
+            "functions": {
+                "r0": {"slow": [[1.0, 1, 0.0]]},
+                "psi": {"series": {str(n): [[1.0 / n**2, 0, 0.0]] for n in range(1, 17)}},
+            },
+        })
+        report = run(scenario)
+        assert report.results["status"] == "unique"
+        assert any("slower than n^-4" in w for w in report.flags["warnings"])
+
 
 class TestEmit:
     def test_json_deterministic_bytes(self, tmp_path):

@@ -1,13 +1,16 @@
 """Forward spectral solver against analytic cases and quadrature oracles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from osckit.asymptotics import leading_term
+from osckit.asymptotics import leading_term, residual_norm
 from osckit.catalog import (
+    CatalogError,
     FastProfile,
+    SampledSeries,
     SineSeries,
     SlowFunction,
     SourceFactor,
@@ -29,6 +32,12 @@ def steady(mean, oscillation=None):
 REFERENCE_ENVELOPE = SineSeries({1: 1.0, 2: 1.0})
 LINEAR_MEAN = SlowFunction.monomial(1.0, 1)
 UNIT_SINE_OSC = FastProfile([(1, 0.0, 1.0)])
+
+
+def sampled(problem, n_max):
+    """The same problem with its envelope wrapped as sampled data f(x, t)."""
+    envelope = problem.envelope
+    return replace(problem, envelope=SampledSeries(lambda x, t: envelope(x, t), n_max))
 
 
 class TestSolveMode:
@@ -60,26 +69,29 @@ class TestSolveMode:
                               SourceFactor(LINEAR_MEAN, UNIT_SINE_OSC),
                               50.0, 1.0)
         t = np.linspace(0.0, 1.0, 7)
-        closed = solve_mode(problem, 1, t, method="closed")
-        quad = solve_mode(problem, 1, t, method="quadrature")
+        closed = solve_mode(problem, 1, t)
+        quad = solve_mode(sampled(problem, 2), 1, t)
         assert np.max(np.abs(closed - quad)) < 1e-12
 
-    def test_under_resolved_quadrature_rejected(self):
-        problem = HeatProblem(SineSeries({1: 1.0}),
-                              SourceFactor(SlowFunction.zero(), UNIT_SINE_OSC),
-                              200.0, 1.0)
-        too_coarse = math.pi / problem.omega  # > pi / (2 omega)
-        with pytest.raises(ValueError, match="resolve"):
-            solve_mode(problem, 1, 0.5, method="quadrature",
-                       quadrature_step=too_coarse)
-
     def test_sampled_envelope_uses_quadrature(self):
-        from osckit.catalog import sine_coefficients_in_time
-        sampled = sine_coefficients_in_time(lambda x, t: (1.0 + 0.0 * t) * np.sin(x), 1,
-                                            quadrature_points=16)
-        problem = HeatProblem(sampled, steady(1.0), 10.0, 1.0)
-        got = solve_mode(problem, 1, 0.8, method="auto")
+        envelope = SampledSeries(lambda x, t: (1.0 + 0.0 * t) * np.sin(x), 1,
+                                 quadrature_points=16)
+        problem = HeatProblem(envelope, steady(1.0), 10.0, 1.0)
+        got = solve_mode(problem, 1, 0.8)
         assert abs(got - (1.0 - math.exp(-0.8))) < 1e-9
+
+    def test_sampled_envelope_modes_bounded_by_its_n_max(self):
+        problem = HeatProblem(SampledSeries(lambda x, t: np.sin(x) + 0.0 * t, 2),
+                              steady(1.0), 10.0, 1.0, n_max=4)
+        with pytest.raises(ValueError, match="exceed the sampled n_max 2"):
+            solve_mode(problem, 3, 0.5)
+
+    def test_sampled_envelope_has_no_closed_form(self):
+        problem = sampled(HeatProblem(REFERENCE_ENVELOPE,
+                                      SourceFactor(LINEAR_MEAN, UNIT_SINE_OSC),
+                                      50.0, 1.0), 2)
+        with pytest.raises(CatalogError):
+            residual_norm(problem)
 
 
 class TestSolveHeat:
@@ -191,16 +203,12 @@ class TestModeAmplitudes:
     def test_quadrature_fills_the_same_parts(self):
         t = np.linspace(0.0, 1.0, 7)
         modes = [1, 2, 3]
-        closed = mode_amplitudes(self.PROBLEM, modes, t, method="closed")
-        quad = mode_amplitudes(self.PROBLEM, modes, t, method="quadrature")
+        closed = mode_amplitudes(self.PROBLEM, modes, t)
+        quad = mode_amplitudes(sampled(self.PROBLEM, 3), modes, t)
         for c, q in zip(closed, quad):
             assert c.shape == q.shape == (3, 7)
             assert np.max(np.abs(c - q)) < 1e-12
         assert np.max(np.abs(closed[1])) > 1e-3  # the oscillatory part is there
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="unknown method"):
-            mode_amplitudes(self.PROBLEM, [1], np.linspace(0.0, 1.0, 3), method="euler")
 
 
 class TestTrace:
@@ -238,3 +246,8 @@ class TestProblemValidation:
         base.update(kwargs)
         with pytest.raises(ValueError):
             HeatProblem(**base)
+
+    @pytest.mark.parametrize("envelope", [{1: 1.0}, lambda x, t: np.sin(x), 1.0])
+    def test_envelope_of_other_type_rejected(self, envelope):
+        with pytest.raises(TypeError, match="not a SineSeries or SampledSeries"):
+            HeatProblem(envelope, steady(1.0), 10.0, 1.0)

@@ -230,6 +230,25 @@ class TestRecoverTimeFactor:
         rec = recover_time_factor(obs, ENVELOPE, n_max=8, intervals=intervals)
         assert np.max(np.abs(rec.mean_grid.values - grid)) < 1e-5
 
+    def test_sampled_leading_trace_matches_catalog_trace(self):
+        # only the 4th-order stencil derivative differs: 7.1e-13 measured
+        grid = np.linspace(0.0, 2.0, 2049)
+        want = recover_time_factor(TraceObservation(math.pi / 2.0, PHI0, PHI2, horizon=2.0),
+                                   ENVELOPE, n_max=8)
+        got = recover_time_factor(TraceObservation(math.pi / 2.0, PHI0(grid), PHI2,
+                                                   horizon=2.0), ENVELOPE, n_max=8)
+        assert np.array_equal(got.mean_grid.axes[0], want.mean_grid.axes[0])
+        assert np.max(np.abs(got.mean_grid.values - want.mean_grid.values)) < 1e-11
+
+    @pytest.mark.parametrize("samples, match", [
+        (np.ones(2049), "vanish at t = 0"),
+        (np.r_[0.0, np.full(2048, np.nan)], "finite"),
+        (np.r_[0.0, np.inf, np.zeros(2047)], "finite"),
+    ], ids=["nonzero_start", "nan", "inf"])
+    def test_sampled_leading_trace_validated(self, samples, match):
+        with pytest.raises(ValueError, match=match):
+            TraceObservation(math.pi / 2.0, samples, PHI2, horizon=2.0)
+
     def test_vanishing_envelope_trace_rejected(self):
         with pytest.raises(ValueError, match="bounded away"):
             obs = TraceObservation(math.pi / 2.0, PHI0, PHI2, horizon=2.0)
@@ -324,12 +343,14 @@ class TestRecoverSpaceFactor:
     def test_callable_snapshot_decay_check(self):
         obs = snapshot_from_callable(
             1.0, lambda x: (x * (math.pi - x)) ** 3, 16)
-        assert obs.decay_warning is None
+        rec = recover_space_factor(obs, LINEAR_MEAN, n_max=16)
+        assert rec.report.warnings == ()
 
     def test_callable_snapshot_warns_on_rough_profile(self):
         # x does not extend oddly through pi: coefficients decay like 1/n
         obs = snapshot_from_callable(1.0, lambda x: x, 16)
-        assert obs.decay_warning is not None
+        rec = recover_space_factor(obs, LINEAR_MEAN, n_max=16)
+        assert any("slower than n^-4" in w for w in rec.report.warnings)
 
 
 # ---------------------------------------------------------------------------
