@@ -53,7 +53,6 @@ from .volterra import (
 from .volterra import solve as solve_volterra
 from .inverse import (
     BothFactorsRecovery,
-    CongruenceReport,
     ConsistencyReport,
     IllConditionedSystemError,
     ModeWeightSpectrum,
@@ -134,7 +133,6 @@ __all__ = [
     "SpaceOscillationRecovery",
     "BothFactorsRecovery",
     "SolvabilityReport",
-    "CongruenceReport",
     "ConsistencyReport",
     "IllConditionedSystemError",
     "Scenario",

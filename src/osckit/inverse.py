@@ -28,13 +28,7 @@ from .catalog import (  # noqa: F401
     duhamel_weight,
     sine_coefficients,
 )
-from .volterra import (
-    Kernel,
-    SeparableResolvent,
-    VolterraProblem,
-    build_kernel,
-    solve,
-)
+from .volterra import SeparableResolvent, VolterraProblem, build_kernel, solve
 
 __all__ = [
     "IllConditionedSystemError",
@@ -56,7 +50,6 @@ __all__ = [
     "SpaceOscillationRecovery",
     "BothFactorsRecovery",
     "SolvabilityReport",
-    "CongruenceReport",
     "ConsistencyReport",
 ]
 
@@ -91,8 +84,9 @@ def _check_leading(leading, horizon: float):
 class TraceObservation:
     """Two-term trace data at a single x0: leading + oscillating parts.
 
-    ``leading`` is a SlowFunction (or uniform samples on the recovery grid),
-    ``oscillating`` a zero-mean FastProfile.  The initial-layer component is
+    ``leading`` is a SlowFunction (or, for ``recover_time_factor`` only,
+    uniform samples on the recovery grid), ``oscillating`` a zero-mean
+    FastProfile.  The initial-layer component is
     derivable from the oscillating part and may be supplied for checking.
     """
 
@@ -150,6 +144,10 @@ class MultiPointObservation:
             raise ValueError("at least one observation point required")
         if len(self.interior_traces) != n - 1:
             raise ValueError("need one interior trace per point beyond x0")
+        if not all(isinstance(a, SlowFunction)
+                   for a in (self.leading,) + self.interior_traces):
+            raise TypeError("procedure 4 needs catalog (SlowFunction) traces; sampled "
+                            "leading traces are taken by procedure 1, recover_time_factor")
         for x in self.x_points:
             if not 0.0 < x < math.pi:
                 raise ValueError(f"observation point {x:g} outside (0, pi)")
@@ -228,6 +226,11 @@ def implied_initial_layer(oscillating: FastProfile, envelope: SineSeries,
     return InitialLayer(envelope, level, n_max).at_x(x0)
 
 
+def _oscillation(oscillating: FastProfile, trace: SlowFunction) -> FastProfile:
+    """The oscillation rule ``d(oscillating)/dtau / f(x0, t)``."""
+    return oscillating.tau_derivative().scale_slow(trace.reciprocal())
+
+
 # ---------------------------------------------------------------------------
 # recovery 1: time factor from a two-term trace, envelope known
 # ---------------------------------------------------------------------------
@@ -273,11 +276,9 @@ def recover_time_factor(obs: TraceObservation, envelope: SineSeries,
         horizon=obs.horizon,
         intervals=intervals,
     )
-    mean_grid = solve(problem)
-    oscillation = obs.oscillating.tau_derivative().scale_slow(g.reciprocal())
     return TimeFactorRecovery(
-        mean_grid,
-        oscillation,
+        solve(problem),
+        _oscillation(obs.oscillating, g),
         {"envelope_min_at_x0": g_min, "kernel_tail_bound": kernel.tail_bound},
     )
 
@@ -358,19 +359,28 @@ def recover_space_factor(obs: SnapshotObservation, mean: SlowFunction,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CongruenceReport:
+class ConsistencyReport:
+    """Sup of a data-consistency residual against its tolerance."""
+
     residual_sup: float
     tolerance: float
     consistent: bool
-    initial_layer_mismatch: float | None = None
+
+
+def _consistency(residual: float, tol: float | None, scale: float) -> ConsistencyReport:
+    """Compare ``residual`` with ``tol``, by default ``1e-6 * (1 + scale)``."""
+    if tol is None:
+        tol = 1e-6 * (1.0 + scale)
+    return ConsistencyReport(residual, tol, residual <= tol)
 
 
 @dataclass(frozen=True)
 class SpaceOscillationRecovery:
     envelope: SineSeries
     oscillation: FastProfile
-    congruence: CongruenceReport
+    congruence: ConsistencyReport
     report: SolvabilityReport
+    initial_layer_mismatch: float | None
 
 
 def recover_space_factor_and_oscillation(
@@ -379,12 +389,15 @@ def recover_space_factor_and_oscillation(
         congruence_tol: float | None = None) -> SpaceOscillationRecovery:
     """Envelope by weight division, oscillation from the trace, data checked.
 
-    Requires every mode weight nonzero.  The recovered envelope must
-    reproduce the leading-trace derivative through the Volterra left side
-    with the known mean factor; the sup of that congruence residual is
-    reported and compared against ``congruence_tol``
+    Requires every mode weight nonzero and a catalog leading trace.  The
+    recovered envelope must reproduce the leading-trace derivative through
+    the Volterra left side with the known mean factor; the sup of that
+    congruence residual is reported and compared against ``congruence_tol``
     (default 1e-6 * (1 + sup |leading'|)).
     """
+    if not isinstance(trace.leading, SlowFunction):
+        raise ValueError("procedure 3 needs a catalog leading trace; sampled "
+                         "traces are taken by procedure 1, recover_time_factor")
     space = recover_space_factor(snapshot, mean, n_max)
     if space.report.zero_modes:
         raise ValueError(
@@ -392,33 +405,25 @@ def recover_space_factor_and_oscillation(
             "this recovery assumes all weights nonzero"
         )
     envelope = space.envelope
-    env_x0 = envelope.at_x(trace.x0)(0.0)
-    if abs(env_x0) < GAUGE_FLOOR:
+    g = envelope.at_x(trace.x0)
+    if abs(g(0.0)) < GAUGE_FLOOR:
         raise ValueError("recovered envelope vanishes at x0")
 
     rhs = trace.leading.derivative()
-    lhs = envelope.at_x(trace.x0) * mean
-    for n in envelope.modes:
-        if n > n_max:
-            continue
-        c_n = -float(n * n) * math.sin(n * trace.x0)
-        coeff = envelope.coefficient(n)(0.0)
-        lhs = lhs + duhamel_slow(n, mean) * (c_n * coeff)
+    lhs = g * mean
+    for n, c_n in build_kernel(envelope, trace.x0, n_max).modes:
+        lhs = lhs + duhamel_slow(n, mean) * c_n
     residual = (lhs - rhs).sup_on(0.0, trace.horizon, 4097)
-    if congruence_tol is None:
-        congruence_tol = 1e-6 * (1.0 + rhs.sup_on(0.0, trace.horizon))
+    congruence = _consistency(residual, congruence_tol,
+                              rhs.sup_on(0.0, trace.horizon))
 
     mismatch = None
     if trace.initial_layer is not None:
         implied = implied_initial_layer(trace.oscillating, envelope,
                                         trace.x0, n_max)
         mismatch = (implied - trace.initial_layer).sup_on(0.0, trace.horizon)
-
-    congruence = CongruenceReport(residual, congruence_tol,
-                                  residual <= congruence_tol, mismatch)
-    oscillation = trace.oscillating.tau_derivative().scale(1.0 / env_x0)
-    return SpaceOscillationRecovery(envelope, oscillation, congruence,
-                                    space.report)
+    return SpaceOscillationRecovery(envelope, _oscillation(trace.oscillating, g),
+                                    congruence, space.report, mismatch)
 
 
 # ---------------------------------------------------------------------------
@@ -461,23 +466,13 @@ def solve_amplitude_system(obs: MultiPointObservation,
 
 
 @dataclass(frozen=True)
-class ConsistencyReport:
-    residual_sup: float
-    tolerance: float
-    consistent: bool
-    per_point: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class BothFactorsRecovery:
     envelope: SineSeries
     mean_grid: GridFunction
     oscillation: FastProfile
     snapshot_coeffs: np.ndarray
-    amplitudes_raw: np.ndarray
     gauge: float
     consistency: ConsistencyReport
-    resolvent: SeparableResolvent
 
     @property
     def solvable(self) -> bool:
@@ -494,63 +489,39 @@ def recover_both_factors(obs: MultiPointObservation, intervals: int = 2048,
     not polluted by the O(h^2) marching error.  The envelope amplitudes
     absorb the reciprocal gauge, preserving the observable product.
     """
-    n = obs.order
     psi = solve_snapshot_system(obs)
     amps = solve_amplitude_system(obs, psi)
-
-    modes = np.arange(1, n + 1)
-    sin_x0 = np.sin(modes * obs.x_points[0])
-    env_x0 = float(sin_x0 @ amps)
+    x0 = obs.x_points[0]
+    env = SineSeries.from_coefficients(amps)
+    g = env.at_x(x0)
+    env_x0 = g(0.0)
     if abs(env_x0) < GAUGE_FLOOR * (1.0 + float(np.max(np.abs(amps)))):
         raise ValueError("recovered envelope vanishes at x0; data rejected")
 
-    mode_coeffs = -(modes.astype(float) ** 2) * amps * sin_x0
+    kernel = build_kernel(env, x0, obs.order)
     rhs = obs.leading.derivative()
-    resolvent = SeparableResolvent(env_x0, modes, mode_coeffs, rhs)
-
-    kernel = Kernel(tuple(
-        (int(m), SlowFunction.constant(c)) for m, c in zip(modes, mode_coeffs)
-    ))
-    problem = VolterraProblem(
-        diagonal=SlowFunction.constant(env_x0),
-        kernel=kernel,
-        rhs=rhs,
-        horizon=obs.horizon,
-        intervals=intervals,
-    )
-    mean_grid = solve(problem)
+    mean_grid = solve(VolterraProblem(g, kernel, rhs, obs.horizon, intervals))
+    ns = np.array([n for n, _ in kernel.modes])
+    resolvent = SeparableResolvent(env_x0, ns, [c(0.0) for _, c in kernel.modes], rhs)
 
     gauge = float(resolvent(obs.t0))
     if abs(gauge) < GAUGE_FLOOR:
         raise ValueError(f"mean factor at t0 is {gauge:.2e}; gauge undefined")
 
     window = np.linspace(obs.t0 - obs.half_width, obs.t0 + obs.half_width, WINDOW_POINTS)
-    if n > 1:
+    residual = 0.0
+    if obs.interior_traces:
         y = resolvent.mode_integrals(window)
-        per_point = []
-        for j, alpha in enumerate(obs.interior_traces, start=1):
-            sin_xj = np.sin(modes * obs.x_points[j])
-            lhs = (amps * sin_xj) @ y
-            per_point.append(float(np.max(np.abs(lhs - alpha(window)))))
-        residual = max(per_point)
-    else:
-        per_point = []
-        residual = 0.0
-    if consistency_tol is None:
-        scale = obs.leading.sup_on(0.0, obs.horizon)
-        for alpha in obs.interior_traces:
-            scale = max(scale, alpha.sup_on(window[0], window[-1]))
-        consistency_tol = 1e-6 * (1.0 + scale)
-    consistency = ConsistencyReport(residual, consistency_tol,
-                                    residual <= consistency_tol,
-                                    tuple(per_point))
-
-    envelope = SineSeries.from_coefficients(amps * gauge)
-    oscillation = obs.oscillating.tau_derivative().scale(1.0 / (env_x0 * gauge))
+        residual = max(float(np.max(np.abs((amps[ns - 1] * np.sin(ns * xj)) @ y
+                                           - alpha(window))))
+                       for xj, alpha in zip(obs.x_points[1:], obs.interior_traces))
+    scale = max([obs.leading.sup_on(0.0, obs.horizon)]
+                + [alpha.sup_on(window[0], window[-1]) for alpha in obs.interior_traces])
     normalized = GridFunction(mean_grid.axes, mean_grid.values / gauge,
                               dict(mean_grid.meta, gauge=gauge))
-    return BothFactorsRecovery(envelope, normalized, oscillation, psi, amps,
-                               gauge, consistency, resolvent)
+    return BothFactorsRecovery(SineSeries.from_coefficients(amps * gauge), normalized,
+                               _oscillation(obs.oscillating, g * gauge), psi, gauge,
+                               _consistency(residual, consistency_tol, scale))
 
 
 # ---------------------------------------------------------------------------

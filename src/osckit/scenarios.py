@@ -413,14 +413,14 @@ def _run_convergence(s: Scenario) -> tuple[dict, dict]:
     return {"ladder": rows}, {}
 
 
+def _trace_observation(s: Scenario) -> inv.TraceObservation:
+    return inv.TraceObservation(x0=float(s.param("x0")), leading=s.function("phi0"),
+                                oscillating=s.function("phi2"),
+                                horizon=float(s.param("T")))
+
+
 def _run_inverse1(s: Scenario) -> tuple[dict, dict]:
-    obs = inv.TraceObservation(
-        x0=float(s.param("x0")),
-        leading=s.function("phi0"),
-        oscillating=s.function("phi2"),
-        horizon=float(s.param("T")),
-    )
-    rec = inv.recover_time_factor(obs, s.function("f"),
+    rec = inv.recover_time_factor(_trace_observation(s), s.function("f"),
                                   n_max=int(s.param("n_max")),
                                   intervals=int(s.param("grid")))
     results = {
@@ -451,14 +451,8 @@ def _run_inverse2(s: Scenario) -> tuple[dict, dict]:
 
 def _run_inverse3(s: Scenario) -> tuple[dict, dict]:
     snapshot = inv.SnapshotObservation(float(s.param("t0")), s.function("psi"))
-    trace_obs = inv.TraceObservation(
-        x0=float(s.param("x0")),
-        leading=s.function("phi0"),
-        oscillating=s.function("phi2"),
-        horizon=float(s.param("T")),
-    )
     rec = inv.recover_space_factor_and_oscillation(
-        snapshot, trace_obs, s.function("r0"), n_max=int(s.param("n_max")),
+        snapshot, _trace_observation(s), s.function("r0"), n_max=int(s.param("n_max")),
         congruence_tol=s.params.get("tol_consistency"))
     results = {
         "envelope": series_to_payload(rec.envelope),
@@ -466,7 +460,8 @@ def _run_inverse3(s: Scenario) -> tuple[dict, dict]:
         "congruence_residual": rec.congruence.residual_sup,
         "congruence_tolerance": rec.congruence.tolerance,
     }
-    flags = {"inconsistent": not rec.congruence.consistent}
+    flags = {"inconsistent": not rec.congruence.consistent,
+             "warnings": list(rec.report.warnings)}
     return results, flags
 
 

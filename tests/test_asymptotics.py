@@ -15,7 +15,14 @@ from osckit.asymptotics import (
     residual_norm,
     resolving_time_count,
 )
-from osckit.catalog import FastProfile, SineSeries, SlowFunction, SourceFactor
+from osckit.catalog import (
+    CatalogError,
+    FastProfile,
+    SampledSeries,
+    SineSeries,
+    SlowFunction,
+    SourceFactor,
+)
 from osckit.forward import HeatProblem
 
 from _oracles import (
@@ -157,6 +164,12 @@ class TestComposition:
                 .evaluate_grid(x, t, omega)
 
         assert np.max(np.abs(values(e12) - values(e1) - values(e2))) < 1e-13
+
+    def test_sampled_envelope_rejected(self):
+        sampled = SampledSeries(lambda x, t: np.sin(x) + 0.0 * t, 2)
+        problem = HeatProblem(sampled, SourceFactor(LINEAR_MEAN, SINE_OSC), 10.0, 1.0)
+        with pytest.raises(CatalogError, match="catalog envelope"):
+            TwoTermExpansion.for_problem(problem)
 
 
 class TestStructuralChecks:

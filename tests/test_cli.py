@@ -1,5 +1,6 @@
 """Scenario parsing, CLI subcommands, report emission, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -20,6 +21,17 @@ from osckit.scenarios import (
     run,
     serialize_scenario,
 )
+
+
+# sha256 of the JSON report of each built-in, recorded on numpy 2.4.6.  The
+# trailing digits of the floats depend on the numpy build, so other versions
+# skip the comparison.
+PINNED_NUMPY = "2.4.6"
+BUILTIN_REPORT_SHA256 = {
+    "golden": "5195d8d25fddddf1e9e9acac72df0b45f410c811284689597eae2a88a6895b24",
+    "golden-convergence": "2e7555c24b4f47917d48cf64aca136f8eea6c8d336fa68be205675cdfd7e02ab",
+    "golden-forward": "8d8ae85f37ece36eed6365b1976e4e0ce12f0975b77782b67a8dca0cf4dc840c",
+}
 
 
 def write_scenario(tmp_path, payload, name="case.json"):
@@ -231,6 +243,22 @@ class TestRun:
         assert report.results["status"] == "unique"
         assert any("slower than n^-4" in w for w in report.flags["warnings"])
 
+    def test_inverse3_slow_snapshot_decay_warned(self):
+        # the snapshot check of inverse2 runs inside inverse3 too
+        scenario = parse_scenario_dict({
+            "kind": "inverse3",
+            "params": {"x0": math.pi / 2.0, "t0": 1.0, "T": 2.0, "n_max": 16},
+            "functions": {
+                "r0": {"slow": [[1.0, 1, 0.0]]},
+                "psi": {"series": {str(n): [[1.0 / n**2, 0, 0.0]] for n in range(1, 17)}},
+                "phi0": {"slow": [[1.0, 0, -1.0], [1.0, 1, 0.0],
+                                  [-1.0, 0, 0.0]]},
+                "phi2": {"fast": [{"k": 1, "cos": [[-1.0, 0, 0.0]], "sin": []}]},
+            },
+        })
+        report = run(scenario)
+        assert any("slower than n^-4" in w for w in report.flags["warnings"])
+
 
 class TestEmit:
     def test_json_deterministic_bytes(self, tmp_path):
@@ -240,6 +268,15 @@ class TestEmit:
         b = emit(report2, "json", str(tmp_path / "b.json"))
         assert a == b
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_REPORT_SHA256))
+    def test_builtin_report_bytes_pinned(self, name, tmp_path):
+        if np.__version__ != PINNED_NUMPY:
+            pytest.skip(f"report digests were recorded on numpy {PINNED_NUMPY}, "
+                        f"this is numpy {np.__version__}")
+        text = emit(run(builtin_scenario(name)), "json", str(tmp_path / "r.json"))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() \
+            == BUILTIN_REPORT_SHA256[name]
 
     def test_json_payload_structure(self, tmp_path):
         report = run(builtin_scenario("golden"))

@@ -395,7 +395,14 @@ class TestRecoverSpaceFactorAndOscillation:
                                      initial_layer=layer)
         rec = recover_space_factor_and_oscillation(
             golden_snapshot(), trace_obs, LINEAR_MEAN, n_max=8)
-        assert rec.congruence.initial_layer_mismatch < 1e-9
+        assert rec.initial_layer_mismatch < 1e-9
+
+    def test_sampled_leading_trace_rejected(self):
+        samples = PHI0(np.linspace(0.0, 2.0, 2049))
+        trace_obs = TraceObservation(math.pi / 2.0, samples, PHI2, horizon=2.0)
+        with pytest.raises(ValueError, match="procedure 1"):
+            recover_space_factor_and_oscillation(
+                golden_snapshot(), trace_obs, LINEAR_MEAN, n_max=8)
 
     def test_zero_weight_rejected(self):
         trace_obs = TraceObservation(math.pi / 2.0, PHI0, PHI2, horizon=2.0)
@@ -561,3 +568,8 @@ class TestObservationValidation:
     def test_point_count_must_match_traces(self):
         with pytest.raises(ValueError, match="interior trace"):
             golden_observation(interior_traces=())
+
+    def test_sampled_leading_trace_rejected(self):
+        samples = PHI0(np.linspace(0.0, 2.0, 2049))
+        with pytest.raises(TypeError, match="procedure 1"):
+            golden_observation(leading=samples)
