@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,11 +43,17 @@ __all__ = [
 KINDS = ("forward", "asymptotics", "convergence",
          "inverse1", "inverse2", "inverse3", "inverse4")
 
-DEFAULTS = {"grid": 2048, "n_max": 32, "x_count": 65}
+# Every default the runners use, for parameters and functions alike; a
+# missing or null entry reads this table.  A None tolerance means the
+# solver's own default.
+DEFAULTS = {"grid": 2048, "n_max": 32, "x_count": 65, "t_count": 513,
+            "emit_field": False, "tol_lambda": inv.WEIGHT_ZERO_TOL,
+            "tol_coeff": inv.COEFF_ZERO_TOL, "tol_consistency": None,
+            "r1": FastProfile.zero(), "alpha": ()}
 # Lower bounds the solvers put on the integer parameters.
 INTEGER_BOUNDS = {"grid": 2, "n_max": 1, "x_count": 2, "t_count": 2}
-FLOAT_PARAMS = ("T", "omega", "x0", "t0", "delta",
-                "tol_lambda", "tol_coeff", "tol_consistency")
+TOLERANCES = ("tol_lambda", "tol_coeff", "tol_consistency")
+FLOAT_PARAMS = ("T", "omega", "x0", "t0", "delta") + TOLERANCES
 
 
 class ScenarioError(ValueError):
@@ -63,30 +69,30 @@ class Scenario:
     def __post_init__(self):
         _validate_ranges(self)
 
-    def param(self, name: str, default=None):
-        if name in self.params:
-            return self.params[name]
-        if default is not None:
-            return default
+    def param(self, name: str):
+        return self._lookup(self.params, "parameter", name)
+
+    def function(self, name: str):
+        return self._lookup(self.functions, "function", name)
+
+    def _lookup(self, table: dict, what: str, name: str):
+        value = table.get(name)
+        if value is not None:
+            return value
         if name in DEFAULTS:
             return DEFAULTS[name]
-        raise ScenarioError(f"missing parameter {name!r} for kind {self.kind!r}")
-
-    def function(self, name: str, default=None):
-        if name in self.functions:
-            return self.functions[name]
-        if default is not None:
-            return default
-        raise ScenarioError(f"missing function {name!r} for kind {self.kind!r}")
+        raise ScenarioError(f"missing {what} {name!r} for kind {self.kind!r}")
 
 
 @dataclass
 class RunReport:
-    kind: str
-    scenario: dict
+    """What ``run`` computed: values as the solvers return them (arrays,
+    catalog objects, report tuples).  ``emit`` encodes them."""
+
+    scenario: Scenario
     results: dict
-    flags: dict = field(default_factory=dict)
-    timing_seconds: float = 0.0
+    flags: dict
+    timing_seconds: float
 
     @property
     def inconsistent(self) -> bool:
@@ -97,20 +103,11 @@ class RunReport:
 # catalog (de)serialization
 # ---------------------------------------------------------------------------
 
-def slow_to_payload(f: SlowFunction) -> list:
-    return [[c, m, g] for c, m, g in f.terms]
-
-
 def payload_to_slow(payload, where: str) -> SlowFunction:
     try:
         return SlowFunction([(float(c), int(m), float(g)) for c, m, g in payload])
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"bad slow-function term list at {where}: {exc}") from exc
-
-
-def fast_to_payload(p: FastProfile) -> list:
-    return [{"k": k, "cos": slow_to_payload(a), "sin": slow_to_payload(b)}
-            for k, a, b in p.harmonics]
 
 
 def payload_to_fast(payload, where: str) -> FastProfile:
@@ -127,10 +124,6 @@ def payload_to_fast(payload, where: str) -> FastProfile:
     return FastProfile(harmonics)
 
 
-def series_to_payload(s: SineSeries) -> dict:
-    return {str(n): slow_to_payload(s.coefficient(n)) for n in s.modes}
-
-
 def payload_to_series(payload, where: str) -> SineSeries:
     try:
         return SineSeries({int(n): payload_to_slow(terms, f"{where}[{n}]")
@@ -139,15 +132,19 @@ def payload_to_series(payload, where: str) -> SineSeries:
         raise ScenarioError(f"bad sine-series payload at {where}: {exc}") from exc
 
 
+# function tag -> (catalog type, decoder)
+FUNCTION_TAGS = {"slow": (SlowFunction, payload_to_slow),
+                 "fast": (FastProfile, payload_to_fast),
+                 "series": (SineSeries, payload_to_series)}
+
+
 def _function_to_payload(obj):
-    if isinstance(obj, SlowFunction):
-        return {"slow": slow_to_payload(obj)}
-    if isinstance(obj, FastProfile):
-        return {"fast": fast_to_payload(obj)}
-    if isinstance(obj, SineSeries):
-        return {"series": series_to_payload(obj)}
+    """Tag a catalog object with its kind; ``_jsonable`` encodes the body."""
     if isinstance(obj, (list, tuple)):
         return [_function_to_payload(item) for item in obj]
+    for tag, (cls, _) in FUNCTION_TAGS.items():
+        if isinstance(obj, cls):
+            return {tag: obj}
     raise ScenarioError(f"cannot serialize function object {obj!r}")
 
 
@@ -158,13 +155,9 @@ def _payload_to_function(payload, where: str):
     if not isinstance(payload, dict) or len(payload) != 1:
         raise ScenarioError(f"function {where} must be a single-key object")
     (tag, body), = payload.items()
-    if tag == "slow":
-        return payload_to_slow(body, where)
-    if tag == "fast":
-        return payload_to_fast(body, where)
-    if tag == "series":
-        return payload_to_series(body, where)
-    raise ScenarioError(f"unknown function tag {tag!r} at {where}")
+    if tag not in FUNCTION_TAGS:
+        raise ScenarioError(f"unknown function tag {tag!r} at {where}")
+    return FUNCTION_TAGS[tag][1](body, where)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +210,9 @@ def _validate_ranges(s: Scenario):
                                 f"got {value!r}")
     num = {name: _finite(s.params[name], f"parameter {name!r}")
            for name in FLOAT_PARAMS if s.params.get(name) is not None}
+    for name in TOLERANCES:
+        if num.get(name, 0.0) < 0:
+            raise ScenarioError(f"parameter {name!r} must be >= 0, got {num[name]!r}")
     horizon = num.get("T", 1.0)
     if horizon <= 0:
         raise ScenarioError("parameter 'T' must be positive")
@@ -272,21 +268,29 @@ def parse_scenario(path: str) -> Scenario:
 
 
 def serialize_scenario(s: Scenario) -> dict:
-    return {
+    return _jsonable({
         "kind": s.kind,
-        "params": _jsonable(s.params),
+        "params": s.params,
         "functions": {name: _function_to_payload(obj)
                       for name, obj in s.functions.items()},
-    }
+    })
 
 
 def _jsonable(obj):
+    """The one place a value becomes JSON data."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return obj.tolist()
+    if isinstance(obj, SlowFunction):
+        return _jsonable(obj.terms)
+    if isinstance(obj, FastProfile):
+        return [{"k": k, "cos": _jsonable(a), "sin": _jsonable(b)}
+                for k, a, b in obj.harmonics]
+    if isinstance(obj, SineSeries):
+        return _jsonable(obj.modes)
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, (bool, int, float, str)) or obj is None:
@@ -354,21 +358,17 @@ def builtin_scenario(name: str) -> Scenario:
 # ---------------------------------------------------------------------------
 
 def _heat_problem(s: Scenario, omega: float) -> HeatProblem:
-    envelope = s.function("f")
-    mean = s.function("r0")
-    oscillation = s.function("r1", FastProfile.zero())
-    return HeatProblem(envelope, SourceFactor(mean, oscillation),
+    return HeatProblem(s.function("f"), SourceFactor(s.function("r0"), s.function("r1")),
                        omega, float(s.param("T")), int(s.param("n_max")))
 
 
-def _grid_payload(g) -> dict:
-    return {"t": _jsonable(g.axes[-1]), "values": _jsonable(g.values)}
+def _on_grid(g) -> dict:
+    return {"t": g.axes[-1], "values": g.values}
 
 
 def _run_forward(s: Scenario) -> tuple[dict, dict]:
     problem = _heat_problem(s, float(s.param("omega")))
-    u = solve_heat(problem, int(s.param("x_count")),
-                   int(s.param("t_count", 513)))
+    u = solve_heat(problem, int(s.param("x_count")), int(s.param("t_count")))
     results = {
         "sup_norm": u.sup_norm(),
         "x_count": len(u.axes[0]),
@@ -376,18 +376,17 @@ def _run_forward(s: Scenario) -> tuple[dict, dict]:
         "tail_estimate": u.meta.get("tail_estimate", 0.0),
     }
     if "x0" in s.params:
-        tr = trace(u, float(s.params["x0"]))
-        results["trace"] = dict(_grid_payload(tr), x0=float(s.params["x0"]))
-    if s.params.get("emit_field"):
-        results["field"] = {"x": _jsonable(u.axes[0]),
-                            "t": _jsonable(u.axes[1]),
-                            "values": _jsonable(u.values)}
-    return results, {"warnings": list(u.meta.get("warnings", []))}
+        x0 = float(s.params["x0"])
+        results["trace"] = dict(_on_grid(trace(u, x0)), x0=x0)
+    if s.param("emit_field"):
+        results["field"] = {"x": u.axes[0], "t": u.axes[1], "values": u.values}
+    return results, {"warnings": u.meta.get("warnings", [])}
 
 
-def _ladder_row(problem: HeatProblem, expansion) -> dict:
-    r1 = asy.residual_norm(problem, expansion, order=1)
-    r2 = asy.residual_norm(problem, expansion, order=2)
+def _ladder_row(s: Scenario, problem: HeatProblem, expansion) -> dict:
+    x_count = int(s.param("x_count"))
+    r1 = asy.residual_norm(problem, expansion, order=1, x_count=x_count)
+    r2 = asy.residual_norm(problem, expansion, order=2, x_count=x_count)
     return {"omega": problem.omega, "residual_order1": r1,
             "residual_order2": r2, "omega_times_residual2": problem.omega * r2}
 
@@ -395,7 +394,7 @@ def _ladder_row(problem: HeatProblem, expansion) -> dict:
 def _run_asymptotics(s: Scenario) -> tuple[dict, dict]:
     problem = _heat_problem(s, float(s.param("omega")))
     expansion = asy.TwoTermExpansion.for_problem(problem)
-    row = _ladder_row(problem, expansion)
+    row = _ladder_row(s, problem, expansion)
     x = np.linspace(0.0, math.pi, int(s.param("x_count")))
     match = expansion.layer.evaluate_grid(x, [0.0])[:, 0] \
         + expansion.fast.evaluate_grid(x, [0.0], problem.omega)[:, 0]
@@ -404,12 +403,11 @@ def _run_asymptotics(s: Scenario) -> tuple[dict, dict]:
 
 
 def _run_convergence(s: Scenario) -> tuple[dict, dict]:
-    ladder = [float(w) for w in s.param("omega_ladder")]
     rows = []
-    for omega in ladder:
-        problem = _heat_problem(s, omega)
+    for omega in s.param("omega_ladder"):
+        problem = _heat_problem(s, float(omega))
         expansion = asy.TwoTermExpansion.for_problem(problem)
-        rows.append(_ladder_row(problem, expansion))
+        rows.append(_ladder_row(s, problem, expansion))
     return {"ladder": rows}, {}
 
 
@@ -424,9 +422,9 @@ def _run_inverse1(s: Scenario) -> tuple[dict, dict]:
                                   n_max=int(s.param("n_max")),
                                   intervals=int(s.param("grid")))
     results = {
-        "mean": _grid_payload(rec.mean_grid),
-        "oscillation": fast_to_payload(rec.oscillation),
-        "diagnostics": _jsonable(rec.diagnostics),
+        "mean": _on_grid(rec.mean_grid),
+        "oscillation": rec.oscillation,
+        "diagnostics": rec.diagnostics,
     }
     return results, {}
 
@@ -435,17 +433,17 @@ def _run_inverse2(s: Scenario) -> tuple[dict, dict]:
     obs = inv.SnapshotObservation(float(s.param("t0")), s.function("psi"))
     rec = inv.recover_space_factor(
         obs, s.function("r0"), n_max=int(s.param("n_max")),
-        tol_weight=float(s.param("tol_lambda", inv.WEIGHT_ZERO_TOL)),
-        tol_coeff=float(s.param("tol_coeff", inv.COEFF_ZERO_TOL)))
+        tol_weight=float(s.param("tol_lambda")),
+        tol_coeff=float(s.param("tol_coeff")))
     results = {
-        "envelope": series_to_payload(rec.envelope),
+        "envelope": rec.envelope,
         "status": rec.report.status,
-        "zero_modes": list(rec.report.zero_modes),
-        "offending_modes": list(rec.report.offending_modes),
-        "mode_weights": list(rec.report.spectrum.values),
+        "zero_modes": rec.report.zero_modes,
+        "offending_modes": rec.report.offending_modes,
+        "mode_weights": rec.report.spectrum.values,
     }
     flags = {"inconsistent": not rec.report.solvable,
-             "warnings": list(rec.report.warnings)}
+             "warnings": rec.report.warnings}
     return results, flags
 
 
@@ -453,20 +451,20 @@ def _run_inverse3(s: Scenario) -> tuple[dict, dict]:
     snapshot = inv.SnapshotObservation(float(s.param("t0")), s.function("psi"))
     rec = inv.recover_space_factor_and_oscillation(
         snapshot, _trace_observation(s), s.function("r0"), n_max=int(s.param("n_max")),
-        congruence_tol=s.params.get("tol_consistency"))
+        congruence_tol=s.param("tol_consistency"))
     results = {
-        "envelope": series_to_payload(rec.envelope),
-        "oscillation": fast_to_payload(rec.oscillation),
+        "envelope": rec.envelope,
+        "oscillation": rec.oscillation,
         "congruence_residual": rec.congruence.residual_sup,
         "congruence_tolerance": rec.congruence.tolerance,
     }
     flags = {"inconsistent": not rec.congruence.consistent,
-             "warnings": list(rec.report.warnings)}
+             "warnings": rec.report.warnings}
     return results, flags
 
 
 def _run_inverse4(s: Scenario) -> tuple[dict, dict]:
-    alpha = s.function("alpha", ())
+    alpha = s.function("alpha")
     obs = inv.MultiPointObservation(
         t0=float(s.param("t0")),
         half_width=float(s.param("delta")),
@@ -478,13 +476,13 @@ def _run_inverse4(s: Scenario) -> tuple[dict, dict]:
     )
     rec = inv.recover_both_factors(
         obs, intervals=int(s.param("grid")),
-        consistency_tol=s.params.get("tol_consistency"))
+        consistency_tol=s.param("tol_consistency"))
     results = {
-        "snapshot_coeffs": _jsonable(rec.snapshot_coeffs),
-        "envelope": series_to_payload(rec.envelope),
+        "snapshot_coeffs": rec.snapshot_coeffs,
+        "envelope": rec.envelope,
         "gauge": rec.gauge,
-        "mean": _grid_payload(rec.mean_grid),
-        "oscillation": fast_to_payload(rec.oscillation),
+        "mean": _on_grid(rec.mean_grid),
+        "oscillation": rec.oscillation,
         "consistency_residual": rec.consistency.residual_sup,
         "consistency_tolerance": rec.consistency.tolerance,
     }
@@ -509,8 +507,7 @@ def run(scenario: Scenario) -> RunReport:
     flags.setdefault("inconsistent", False)
     flags.setdefault("warnings", [])
     return RunReport(
-        kind=scenario.kind,
-        scenario=serialize_scenario(scenario),
+        scenario=scenario,
         results=results,
         flags=flags,
         timing_seconds=time.perf_counter() - started,
@@ -522,9 +519,8 @@ def run(scenario: Scenario) -> RunReport:
 # so identical scenarios produce byte-identical files)
 # ---------------------------------------------------------------------------
 
-def _csv_rows(report: RunReport) -> tuple[list[str], list[list]]:
-    kind = report.kind
-    r = report.results
+def _csv_rows(kind: str, r: dict) -> tuple[list[str], list[list]]:
+    """Columns and rows of a kind's table, read from the JSON results."""
     if kind in ("asymptotics", "convergence"):
         cols = ["omega", "residual_order1", "residual_order2",
                 "omega_times_residual2"]
@@ -551,16 +547,13 @@ def _csv_rows(report: RunReport) -> tuple[list[str], list[list]]:
 
 def emit(report: RunReport, fmt: str, path: str) -> str:
     """Write the report; returns the emitted text."""
+    kind = report.scenario.kind
+    payload = _jsonable({"kind": kind, "results": report.results, "flags": report.flags})
+    payload["scenario"] = serialize_scenario(report.scenario)
     if fmt == "json":
-        payload = {
-            "kind": report.kind,
-            "scenario": report.scenario,
-            "results": _jsonable(report.results),
-            "flags": _jsonable(report.flags),
-        }
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     elif fmt == "csv":
-        cols, rows = _csv_rows(report)
+        cols, rows = _csv_rows(kind, payload["results"])
         lines = [",".join(cols)]
         for row in rows:
             lines.append(",".join(repr(v) if isinstance(v, float) else str(v)

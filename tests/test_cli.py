@@ -10,7 +10,10 @@ import sys
 import numpy as np
 import pytest
 
+from osckit import asymptotics as asy
+from osckit.catalog import SlowFunction, SourceFactor, duhamel_weight
 from osckit.cli import main
+from osckit.forward import HeatProblem
 from osckit.scenarios import (
     ScenarioError,
     builtin_names,
@@ -23,14 +26,19 @@ from osckit.scenarios import (
 )
 
 
-# sha256 of the JSON report of each built-in, recorded on numpy 2.4.6.  The
-# trailing digits of the floats depend on the numpy build, so other versions
-# skip the comparison.
+# sha256 of the JSON and CSV reports of each built-in, recorded on numpy
+# 2.4.6.  The trailing digits of the floats depend on the numpy build, so
+# other versions skip the comparison.
 PINNED_NUMPY = "2.4.6"
 BUILTIN_REPORT_SHA256 = {
     "golden": "5195d8d25fddddf1e9e9acac72df0b45f410c811284689597eae2a88a6895b24",
     "golden-convergence": "2e7555c24b4f47917d48cf64aca136f8eea6c8d336fa68be205675cdfd7e02ab",
     "golden-forward": "8d8ae85f37ece36eed6365b1976e4e0ce12f0975b77782b67a8dca0cf4dc840c",
+}
+BUILTIN_CSV_SHA256 = {
+    "golden": "9f85add9fd260df3956aa21c328730c8ecf650d2de69b52a54f30dc456c6d731",
+    "golden-convergence": "ac16549455f5a64f9e907dc366aedab4ddeba96f4a15ccf905d6c31bf5d472b1",
+    "golden-forward": "f3b0fb2649f9a3abd3730022712c37b31c03f6642961a30512ff8ed47c6ab8be",
 }
 
 
@@ -38,6 +46,17 @@ def write_scenario(tmp_path, payload, name="case.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def inverse2_payload(psi, **params):
+    return {
+        "kind": "inverse2",
+        "params": dict({"t0": 1.0, "n_max": 4}, **params),
+        "functions": {
+            "r0": {"slow": [[1.0, 1, 0.0]]},
+            "psi": {"series": {str(n): [[v, 0, 0.0]] for n, v in psi.items()}},
+        },
+    }
 
 
 def forward_payload(**params):
@@ -104,6 +123,7 @@ class TestParsing:
         ("grid", 2.5), ("grid", 0), ("n_max", True), ("x_count", 1),
         ("t_count", "33"), ("omega", math.inf), ("T", math.nan),
         ("x0", "1.5x"), ("tol_consistency", math.inf),
+        ("tol_lambda", -1e-12), ("tol_coeff", -1.0), ("tol_consistency", -1e-3),
     ])
     def test_invalid_parameter_named(self, name, value):
         payload = forward_payload(**{name: value})
@@ -156,13 +176,13 @@ class TestRun:
         report = run(builtin_scenario("golden"))
         assert not report.inconsistent
         env = report.results["envelope"]
-        assert abs(env["1"][0][0] - 1.0) < 1e-10
-        assert abs(env["2"][0][0] - 1.0) < 1e-10
+        assert abs(env.coefficient(1).terms[0][0] - 1.0) < 1e-10
+        assert abs(env.coefficient(2).terms[0][0] - 1.0) < 1e-10
         mean = np.asarray(report.results["mean"]["values"])
         t = np.asarray(report.results["mean"]["t"])
         assert np.max(np.abs(mean - t)) < 1e-6
         assert report.results["consistency_residual"] < 1e-8
-        assert report.scenario == serialize_scenario(builtin_scenario("golden"))
+        assert report.scenario == builtin_scenario("golden")
 
     def test_convergence_ladder_monotone(self):
         report = run(builtin_scenario("golden-convergence"))
@@ -227,7 +247,32 @@ class TestRun:
         report = run(scenario)
         assert report.inconsistent
         assert report.results["status"] == "unsolvable"
-        assert report.results["offending_modes"] == [1]
+        assert report.results["offending_modes"] == (1,)
+
+    @pytest.mark.parametrize("name", ["tol_lambda", "tol_coeff"])
+    def test_inverse2_null_tolerance_is_default(self, name):
+        psi = {1: 0.3, 2: 0.1}
+        report = run(parse_scenario_dict(inverse2_payload(psi, **{name: None})))
+        default = run(parse_scenario_dict(inverse2_payload(psi)))
+        assert report.results["status"] == "unique"
+        assert report.results["envelope"] == default.results["envelope"]
+
+    @pytest.mark.parametrize("kind", ["asymptotics", "convergence"])
+    def test_residual_grid_follows_x_count(self, kind):
+        scenario = builtin_scenario("golden-convergence")
+        params = {"T": 1.0, "x_count": 4}
+        params.update({"omega": 128.0} if kind == "asymptotics"
+                      else {"omega_ladder": [128.0]})
+        report = run(parse_scenario_dict(dict(
+            serialize_scenario(scenario), kind=kind, params=params)))
+        row = report.results if kind == "asymptotics" else report.results["ladder"][0]
+        f = scenario.functions
+        problem = HeatProblem(f["f"], SourceFactor(f["r0"], f["r1"]), 128.0, 1.0, 32)
+        expansion = asy.TwoTermExpansion.for_problem(problem)
+        for order in (1, 2):
+            want = asy.residual_norm(problem, expansion, order=order, x_count=4)
+            assert row[f"residual_order{order}"] == want
+        assert row["residual_order1"] != asy.residual_norm(problem, expansion, order=1)
 
     def test_inverse2_slow_snapshot_decay_warned(self):
         # psi_n = 1/n^2: n^4 psi_n grows fourfold from modes 1..8 to 9..16
@@ -274,9 +319,20 @@ class TestEmit:
         if np.__version__ != PINNED_NUMPY:
             pytest.skip(f"report digests were recorded on numpy {PINNED_NUMPY}, "
                         f"this is numpy {np.__version__}")
-        text = emit(run(builtin_scenario(name)), "json", str(tmp_path / "r.json"))
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() \
-            == BUILTIN_REPORT_SHA256[name]
+        report = run(builtin_scenario(name))
+        for fmt, digests in (("json", BUILTIN_REPORT_SHA256), ("csv", BUILTIN_CSV_SHA256)):
+            text = emit(report, fmt, str(tmp_path / f"r.{fmt}"))
+            assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digests[name]
+
+    def test_csv_inverse2_envelope_text(self, tmp_path):
+        # psi_n = a_n L_n with powers of two a_n, so psi_n / L_n is exactly a_n
+        # on any numpy; mode 3 has no snapshot and no row
+        amps = {1: 1.0, 2: -0.5, 4: 0.25}
+        mean = SlowFunction.monomial(1.0, 1)
+        psi = {n: a * duhamel_weight(n, mean, 1.0) for n, a in amps.items()}
+        report = run(parse_scenario_dict(inverse2_payload(psi)))
+        text = emit(report, "csv", str(tmp_path / "envelope.csv"))
+        assert text == "n,coefficient\n1,1.0\n2,-0.5\n4,0.25\n"
 
     def test_json_payload_structure(self, tmp_path):
         report = run(builtin_scenario("golden"))
@@ -361,6 +417,14 @@ class TestCommandLine:
                                                 capsys):
         assert main([kind, "--scenario", scenario, flag, value, "--out", "-"]) == 1
         assert "osckit: scenario error:" in capsys.readouterr().err
+
+    def test_negative_tolerance_is_scenario_error(self, tmp_path, capsys):
+        golden = serialize_scenario(builtin_scenario("golden"))
+        golden["params"]["tol_consistency"] = -1.0
+        path = write_scenario(tmp_path, golden, "negative.json")
+        assert main(["inverse4", "--scenario", path, "--out", "-"]) == 1
+        assert "osckit: scenario error: parameter 'tol_consistency'" \
+            in capsys.readouterr().err
 
     def test_thread_cap_subprocess(self, tmp_path):
         script = (
