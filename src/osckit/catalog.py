@@ -596,18 +596,27 @@ def duhamel_weight(n: int, g: SlowFunction, t):
     return float(out) if out.ndim == 0 else out
 
 
-def duhamel_oscillatory(n: int, g: SlowFunction, frequency: float, t) -> np.ndarray:
+def duhamel_oscillatory(n: int, g, frequency: float, t):
     """``integral_0^t e^{-n^2 (t-s)} g(s) e^{i * frequency * s} ds`` (complex).
 
     Real part gives the cos-modulated integral, imaginary part the
-    sin-modulated one.
+    sin-modulated one.  ``g`` may also be a tuple of SlowFunctions under the
+    same modulation; the result is then the tuple of their integrals, and a
+    (power, rate) term they share has its moment computed once.
     """
     n2 = float(n) * float(n)
     arr = np.asarray(t, dtype=float)
-    out = np.zeros(arr.shape, dtype=complex)
-    for c, m, rate in g.terms:
-        out = out + c * exp_kernel_moment(m, rate + 1j * frequency, n2, arr)
-    return out
+    single = isinstance(g, SlowFunction)
+    moments = {}
+    outs = []
+    for part in (g,) if single else g:
+        out = np.zeros(arr.shape, dtype=complex)
+        for c, m, rate in part.terms:
+            if (m, rate) not in moments:
+                moments[m, rate] = exp_kernel_moment(m, rate + 1j * frequency, n2, arr)
+            out = out + c * moments[m, rate]
+        outs.append(out)
+    return outs[0] if single else tuple(outs)
 
 
 def duhamel_slow(n: int, g: SlowFunction) -> SlowFunction:

@@ -63,8 +63,10 @@ class HeatProblem:
 def oscillatory_amplitudes(problem: HeatProblem, modes, t: np.ndarray) -> np.ndarray:
     """Closed-form Duhamel part of ``u_n(t)`` driven by the oscillation ``r - r0``.
 
-    One row per entry of ``modes``; exponential moments are taken per
-    (mode, harmonic, term); a sampled envelope raises ``CatalogError``.
+    One row per entry of ``modes``; exponential moments are taken once per
+    (mode, harmonic, distinct term), so the cos and sin parts of a harmonic
+    share the moments of their common terms; a sampled envelope raises
+    ``CatalogError``.
     """
     if isinstance(problem.envelope, SampledSeries):
         raise CatalogError("a sampled envelope has no closed-form amplitudes")
@@ -72,11 +74,11 @@ def oscillatory_amplitudes(problem: HeatProblem, modes, t: np.ndarray) -> np.nda
     for row, n in zip(out, modes):
         fn = problem.envelope.coefficient(n)
         for k, a, b in problem.factor.oscillation.harmonics:
-            freq = k * problem.omega
+            cos, sin = duhamel_oscillatory(n, (fn * a, fn * b), k * problem.omega, t)
             if not a.is_zero:
-                row += duhamel_oscillatory(n, fn * a, freq, t).real
+                row += cos.real
             if not b.is_zero:
-                row += duhamel_oscillatory(n, fn * b, freq, t).imag
+                row += sin.imag
     return out
 
 

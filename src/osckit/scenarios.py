@@ -185,10 +185,10 @@ def parse_scenario_dict(data: dict) -> Scenario:
     raw_functions = data.get("functions", {})
     need_params, need_funcs = REQUIRED[kind]
     for name in sorted(need_params):
-        if name not in params:
+        if params.get(name) is None:  # absent or null
             raise ScenarioError(f"missing parameter {name!r} for kind {kind!r}")
     for name in sorted(need_funcs):
-        if name not in raw_functions:
+        if name not in raw_functions or raw_functions[name] is None:
             raise ScenarioError(f"missing function {name!r} for kind {kind!r}")
     functions = {name: _payload_to_function(payload, name)
                  for name, payload in raw_functions.items()}

@@ -2,8 +2,10 @@
 
 Solves ``diagonal(t) l(t) + integral_0^t K(t, s) l(s) ds = rhs(t)`` on a
 uniform grid.  Separable kernels ``K(t, s) = sum_n c_n(s) e^{-n^2 (t-s)}``
-get an O(M * modes) exponential recurrence; arbitrary kernel callables fall
-back to row-wise trapezoid sums.  A spectral resolvent gives the exact
+march block by block: each block of ``BLOCK`` steps is one lower-triangular
+solve, and the history enters through an N-vector of mode sums carried from
+block to block, O(M (BLOCK + modes)) in all.  Arbitrary kernel callables
+fall back to row-wise trapezoid sums.  A spectral resolvent gives the exact
 solution of the constant-coefficient separable case (needed where the
 O(h^2) marching error would mask a data-consistency question).
 """
@@ -29,6 +31,7 @@ __all__ = [
 ]
 
 DENOMINATOR_FLOOR = 1e-12
+BLOCK = 64  # steps per triangular solve of the separable march
 
 
 class SingularEquationError(RuntimeError):
@@ -108,6 +111,10 @@ def solve(problem: VolterraProblem) -> GridFunction:
 
         l_i = [rhs_i - h (K(t_i,t_0) l_0 / 2 + sum_{0<j<i} K(t_i,t_j) l_j)]
               / [diag_i + (h/2) K(t_i,t_i)].
+
+    A separable kernel solves these rows ``BLOCK`` at a time (see
+    ``_march_blocks``); a zero kernel divides, and a kernel callable sums
+    each row.
     """
     t = problem.grid()
     h = problem.horizon / problem.intervals
@@ -124,16 +131,11 @@ def solve(problem: VolterraProblem) -> GridFunction:
         ns = np.array([n for n, _ in problem.kernel.modes], dtype=float)
         cs = np.vstack([_sample(c, t, "kernel coefficient")
                         for _, c in problem.kernel.modes])
-        decay = np.exp(-(ns * ns) * h)
-        running = np.zeros(ns.size)
-        diag_k = cs.sum(axis=0)  # K(t_i, t_i)
-        for i in range(1, m):
-            w_prev = 0.5 if i == 1 else 1.0
-            running = decay * (running + w_prev * cs[:, i - 1] * l[i - 1])
-            den = g[i] + 0.5 * h * diag_k[i]
-            if abs(den) < DENOMINATOR_FLOOR:
-                raise SingularEquationError(f"singular step at t = {t[i]:g}")
-            l[i] = (mu[i] - h * running.sum()) / den
+        den = g + 0.5 * h * cs.sum(axis=0)  # diag_i + (h/2) K(t_i, t_i)
+        bad = np.flatnonzero(np.abs(den[1:]) < DENOMINATOR_FLOOR)
+        if bad.size:
+            raise SingularEquationError(f"singular step at t = {t[bad[0] + 1]:g}")
+        _march_blocks(l, mu, den, cs, ns, h)
     elif isinstance(problem.kernel, Kernel):
         l[1:] = mu[1:] / g[1:]  # zero kernel
     else:
@@ -146,6 +148,41 @@ def solve(problem: VolterraProblem) -> GridFunction:
             acc = 0.5 * row[0] * l[0] + row[1:i] @ l[1:i]
             l[i] = (mu[i] - h * acc) / den
     return GridFunction((t,), l, {"intervals": problem.intervals, "h": h})
+
+
+def _march_blocks(l, mu, den, cs, ns, h) -> None:
+    """Fill ``l[1:]`` for the separable kernel, ``BLOCK`` rows per solve.
+
+    With ``D_n = e^{-n^2 h}`` and trapezoid weights ``w_0 = 1/2``,
+    ``w_j = 1``, row i reads ``den_i l_i + s(i) = mu_i`` where
+    ``s(i) = sum_n s_n(i)`` and ``s_n(i) = h sum_{j<i} D_n^(i-j) w_j c_n(t_j) l_j``.
+    The rows ``i0 .. i0+b-1`` of one block form the lower-triangular system
+
+        den_i l_i + sum_{i0<=j<i} Q[i-j, j] l_j = mu_i - sum_n D_n^(i-i0) s_n(i0),
+
+    with ``Q[k, j] = h sum_n D_n^k w_j c_n(t_j)``, and the carried N-vector
+    moves on as ``s_n(i0+b) = D_n^b s_n(i0) + h sum_j D_n^(i0+b-j) w_j c_n(t_j) l_j``.
+    """
+    hwc = h * cs  # h w_j c_n(t_j)
+    hwc[:, 0] *= 0.5
+    powers = np.exp(np.outer(np.arange(BLOCK + 1), -(ns * ns) * h))  # D_n^k
+    full = _toeplitz_index(BLOCK)
+    running = powers[1] * hwc[:, 0] * l[0]
+    for i0 in range(1, l.size, BLOCK):
+        b = min(BLOCK, l.size - i0)
+        sl = slice(i0, i0 + b)
+        into, take = full if b == BLOCK else _toeplitz_index(b)
+        a = np.diag(den[sl])
+        a.ravel()[into] = (powers[:b] @ hwc[:, sl]).ravel()[take]
+        l[sl] = np.linalg.solve(a, mu[sl] - powers[:b] @ running)
+        running = powers[b] * running + (powers[b:0:-1].T * hwc[:, sl]) @ l[sl]
+
+
+def _toeplitz_index(b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the strict lower triangle of a b x b matrix and of
+    ``Q[i - j, j]`` for each of its entries (i, j)."""
+    rows, cols = np.tril_indices(b, -1)
+    return rows * b + cols, (rows - cols) * b + cols
 
 
 @dataclass(frozen=True)

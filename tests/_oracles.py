@@ -8,6 +8,9 @@ per mode, and the two-term remainder is the full forward field minus the
 expansion's grid values, independent of the library's single synthesis
 product and its mode-by-mode remainder.
 
+The separable Volterra march is kept in its per-step form, one node at a
+time, as the reference for the blocked solver.
+
 The last helpers are conveniences over library paths that only the tests
 need: one mode's amplitude, a rate shift, a resolvent built from a Volterra
 problem, a snapshot sampled from a callable, and the time and space
@@ -23,7 +26,13 @@ from osckit.asymptotics import resolving_time_count
 from osckit.catalog import GridFunction, SlowFunction, sine_coefficients, sine_synthesis
 from osckit.forward import mode_amplitudes, solve_heat
 from osckit.inverse import SnapshotObservation
-from osckit.volterra import Kernel, SeparableResolvent
+from osckit.volterra import (
+    DENOMINATOR_FLOOR,
+    Kernel,
+    SeparableResolvent,
+    SingularEquationError,
+    _sample,
+)
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(12)
 
@@ -132,6 +141,35 @@ def discrete_residual(problem, solution) -> np.ndarray:
         weights[0] = weights[i] = h / 2.0
         res[i] = g[i] * l[i] + weights @ (row * l[: i + 1]) - mu[i]
     return res
+
+
+def march_separable(problem) -> np.ndarray:
+    """Per-step product-trapezoid march of a separable-kernel Volterra problem.
+
+    ``running_n`` holds ``sum_{j<i} e^{-n^2 h (i-j)} w_j c_n(t_j) l_j`` and is
+    advanced one node at a time; raises ``SingularEquationError`` at the
+    first step whose denominator vanishes.
+    """
+    t = problem.grid()
+    h = problem.horizon / problem.intervals
+    g = _sample(problem.diagonal, t, "diagonal")
+    mu = _sample(problem.rhs, t, "rhs")
+    l = np.empty(t.size)
+    l[0] = mu[0] / g[0]
+    ns = np.array([n for n, _ in problem.kernel.modes], dtype=float)
+    cs = np.vstack([_sample(c, t, "kernel coefficient")
+                    for _, c in problem.kernel.modes])
+    decay = np.exp(-(ns * ns) * h)
+    running = np.zeros(ns.size)
+    diag_k = cs.sum(axis=0)  # K(t_i, t_i)
+    for i in range(1, t.size):
+        w_prev = 0.5 if i == 1 else 1.0
+        running = decay * (running + w_prev * cs[:, i - 1] * l[i - 1])
+        den = g[i] + 0.5 * h * diag_k[i]
+        if abs(den) < DENOMINATOR_FLOOR:
+            raise SingularEquationError(f"singular step at t = {t[i]:g}")
+        l[i] = (mu[i] - h * running.sum()) / den
+    return l
 
 
 def solve_mode(problem, n: int, t):

@@ -289,8 +289,8 @@ class TestModalRemainder:
         assert want > 1e-2  # the mismatch is really there
         assert abs(got - want) < 1e-14
 
-    def test_own_expansion_moments_are_oscillatory_only(self, monkeypatch):
-        problem = rich_problem(500.0)
+    @staticmethod
+    def count_moments(monkeypatch, problem, order):
         calls = []
         moment = catalog.exp_kernel_moment
 
@@ -299,16 +299,35 @@ class TestModalRemainder:
             return moment(power, rate, decay, t)
 
         monkeypatch.setattr(catalog, "exp_kernel_moment", counted)
+        residual_norm(problem, order=order)
+        monkeypatch.undo()
+        return calls
+
+    def test_own_expansion_moments_are_oscillatory_only(self, monkeypatch):
+        problem = rich_problem(500.0)
+        # one moment per distinct (power, rate) of a (mode, harmonic)
         expected = 0
         for n in problem.active_modes:
             fn = problem.envelope.coefficient(n)
             for _, a, b in problem.factor.oscillation.harmonics:
-                expected += sum(len((fn * c).terms) for c in (a, b) if not c.is_zero)
+                expected += len({term[1:] for c in (a, b) if not c.is_zero
+                                 for term in (fn * c).terms})
         for order in (1, 2):
-            calls.clear()
-            residual_norm(problem, order=order)
+            calls = self.count_moments(monkeypatch, problem, order)
             assert len(calls) == expected
             assert all(complex(rate).imag != 0.0 for _, rate, _ in calls)
+
+    def test_cos_and_sin_parts_share_moments(self, monkeypatch):
+        # constant harmonic coefficients: cos and sin parts of every harmonic
+        # have the same terms, so each moment serves both
+        envelope = rich_problem(500.0).envelope
+        oscillation = FastProfile([(1, 0.3, 1.0), (3, -0.4, 0.6)])
+        problem = HeatProblem(envelope, SourceFactor(LINEAR_MEAN, oscillation), 500.0, 1.0)
+        per_part = sum(len((envelope.coefficient(n) * c).terms)
+                       for n in problem.active_modes
+                       for _, a, b in oscillation.harmonics for c in (a, b))
+        calls = self.count_moments(monkeypatch, problem, 1)
+        assert 2 * len(calls) == per_part
 
 
 class TestSynthesis:

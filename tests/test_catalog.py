@@ -14,6 +14,7 @@ from osckit.catalog import (
     SampledSeries,
     SineSeries,
     SlowFunction,
+    duhamel_oscillatory,
     duhamel_slow,
     duhamel_weight,
     exp_kernel_moment,
@@ -356,6 +357,20 @@ class TestDuhamel:
             ref = duhamel_weight(n, g, t)
             bound = 1e-12 * (1.0 + np.max(np.abs(ref)))
             assert np.max(np.abs(slow(t) - ref)) <= bound, lam
+
+
+    def test_oscillatory_parts_share_moments(self, monkeypatch):
+        cos = SlowFunction([(0.5, 1, -1.0), (1.0, 0, 0.0)])
+        sin = SlowFunction([(-2.0, 0, 0.0), (0.3, 2, 0.0)])
+        t = np.linspace(0.0, 1.0, 65)
+        singles = [duhamel_oscillatory(3, g, 40.0, t) for g in (cos, sin)]
+        calls = []
+        moment = catalog.exp_kernel_moment
+        monkeypatch.setattr(catalog, "exp_kernel_moment",
+                            lambda *args: calls.append(args[:3]) or moment(*args))
+        pair = duhamel_oscillatory(3, (cos, sin), 40.0, t)
+        assert len(calls) == 3  # (0, 0.0) is shared
+        assert all(np.array_equal(p, q) for p, q in zip(pair, singles))
 
 
 class TestExpKernelMomentZeroNode:

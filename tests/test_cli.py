@@ -31,12 +31,12 @@ from osckit.scenarios import (
 # other versions skip the comparison.
 PINNED_NUMPY = "2.4.6"
 BUILTIN_REPORT_SHA256 = {
-    "golden": "5195d8d25fddddf1e9e9acac72df0b45f410c811284689597eae2a88a6895b24",
+    "golden": "ed2c73d9f4e24f89746a754e020722e89fd463a3690f34f7d60a2151cf458458",
     "golden-convergence": "2e7555c24b4f47917d48cf64aca136f8eea6c8d336fa68be205675cdfd7e02ab",
     "golden-forward": "8d8ae85f37ece36eed6365b1976e4e0ce12f0975b77782b67a8dca0cf4dc840c",
 }
 BUILTIN_CSV_SHA256 = {
-    "golden": "9f85add9fd260df3956aa21c328730c8ecf650d2de69b52a54f30dc456c6d731",
+    "golden": "d66206eff4cbbff798010c92ee8789a1a8b8c0b730d807919f232e65025373c6",
     "golden-convergence": "ac16549455f5a64f9e907dc366aedab4ddeba96f4a15ccf905d6c31bf5d472b1",
     "golden-forward": "f3b0fb2649f9a3abd3730022712c37b31c03f6642961a30512ff8ed47c6ab8be",
 }
@@ -105,6 +105,15 @@ class TestParsing:
         payload = forward_payload()
         del payload["functions"]["r0"]
         with pytest.raises(ScenarioError, match="'r0'"):
+            parse_scenario_dict(payload)
+
+    @pytest.mark.parametrize("section, name", [
+        ("params", "omega"), ("params", "T"), ("functions", "f"), ("functions", "r0")])
+    def test_null_required_entry_is_missing(self, section, name):
+        payload = forward_payload()
+        payload[section][name] = None
+        what = "parameter" if section == "params" else "function"
+        with pytest.raises(ScenarioError, match=f"missing {what} '{name}'"):
             parse_scenario_dict(payload)
 
     def test_out_of_range_point_named(self):
@@ -424,6 +433,16 @@ class TestCommandLine:
         path = write_scenario(tmp_path, golden, "negative.json")
         assert main(["inverse4", "--scenario", path, "--out", "-"]) == 1
         assert "osckit: scenario error: parameter 'tol_consistency'" \
+            in capsys.readouterr().err
+
+    def test_null_required_parameter_is_scenario_error(self, tmp_path, capsys):
+        forward = serialize_scenario(builtin_scenario("golden-forward"))
+        forward["params"]["omega"] = None
+        path = write_scenario(tmp_path, forward, "null.json")
+        with pytest.raises(ScenarioError, match="missing parameter 'omega'"):
+            parse_scenario(path)
+        assert main(["forward", "--scenario", path, "--out", "-"]) == 1
+        assert "osckit: scenario error: missing parameter 'omega'" \
             in capsys.readouterr().err
 
     def test_thread_cap_subprocess(self, tmp_path):

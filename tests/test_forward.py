@@ -17,7 +17,13 @@ from osckit.catalog import (
     duhamel_oscillatory,
     duhamel_weight,
 )
-from osckit.forward import HeatProblem, mode_amplitudes, solve_heat, trace
+from osckit.forward import (
+    HeatProblem,
+    mode_amplitudes,
+    oscillatory_amplitudes,
+    solve_heat,
+    trace,
+)
 
 from _oracles import field_oracle, mode_oracle, outer_sum, solve_mode
 
@@ -178,6 +184,21 @@ class TestSolveHeat:
 
         want = outer_sum(x, t, problem.active_modes, closed_mode)
         assert np.max(np.abs(u.values - want)) < 1e-14
+
+    def test_shared_moments_keep_per_part_bytes(self):
+        envelope = SineSeries({1: SlowFunction([(1.0, 0, 0.0), (0.5, 1, -1.0)]),
+                               2: 0.7, 3: SlowFunction.monomial(0.3, 2)})
+        oscillation = FastProfile([(1, 0.3, 1.0), (2, SlowFunction([(0.5, 1, 0.0), (0.2, 0, -1.0)]),
+                                                   SlowFunction.monomial(-0.4, 1))])
+        problem = HeatProblem(envelope, SourceFactor(LINEAR_MEAN, oscillation), 300.0, 1.0)
+        t = np.linspace(0.0, 1.0, 129)
+        want = np.zeros((3, t.size))
+        for row, n in zip(want, (1, 2, 3)):
+            fn = envelope.coefficient(n)
+            for k, a, b in oscillation.harmonics:
+                row += duhamel_oscillatory(n, fn * a, 300.0 * k, t).real
+                row += duhamel_oscillatory(n, fn * b, 300.0 * k, t).imag
+        assert np.array_equal(oscillatory_amplitudes(problem, [1, 2, 3], t), want)
 
     def test_tail_warning_for_truncated_modes(self):
         envelope = SineSeries({1: 1.0, 40: 0.5})

@@ -8,6 +8,7 @@ import pytest
 
 from osckit.catalog import SineSeries, SlowFunction, duhamel_slow
 from osckit.volterra import (
+    BLOCK,
     Kernel,
     SingularEquationError,
     VolterraProblem,
@@ -16,7 +17,7 @@ from osckit.volterra import (
     solve,
 )
 
-from _oracles import discrete_residual, resolvent_from_problem
+from _oracles import discrete_residual, march_separable, resolvent_from_problem
 
 LINEAR = SlowFunction.monomial(1.0, 1)
 
@@ -121,6 +122,61 @@ class TestSolve:
                           rhs=lambda t: np.where(t > 1.0, np.nan, t))
         with pytest.raises(ValueError, match="non-finite"):
             solve(problem)
+
+
+def time_varying_problem(intervals, horizon=2.0, x0=1.3):
+    """Trace equation of procedure 1 for an envelope whose coefficients vary
+    in time: diagonal f(x0, t), kernel from build_kernel, sampled rhs."""
+    envelope = SineSeries({1: SlowFunction([(1.0, 0, 0.0), (0.3, 1, -0.5)]),
+                           2: SlowFunction([(0.4, 0, -0.2)]),
+                           3: SlowFunction([(-0.2, 0, 0.1), (0.05, 2, 0.0)])})
+    t = np.linspace(0.0, horizon, intervals + 1)
+    return VolterraProblem(envelope.at_x(x0), build_kernel(envelope, x0),
+                           np.cos(3.0 * t) + 0.5 * t, horizon, intervals)
+
+
+def assert_matches_march(problem):
+    want = march_separable(problem)
+    got = solve(problem).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestBlockedMarch:
+    """The blocked separable solve against the per-step march it replaced."""
+
+    def test_time_varying_coefficients(self):
+        assert_matches_march(time_varying_problem(2**12))
+
+    def test_constant_coefficients(self):
+        assert_matches_march(reference_problem())
+
+    @pytest.mark.parametrize("intervals", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_grids_up_to_one_block(self, intervals):
+        assert_matches_march(time_varying_problem(intervals))
+
+    def test_partial_last_block(self):
+        intervals = 2**11 + 37
+        assert intervals % BLOCK != 0
+        assert_matches_march(time_varying_problem(intervals))
+
+    def test_block_decay_underflows(self):
+        envelope = SineSeries({n: 1.0 / n**3 for n in range(1, 65)})
+        problem = VolterraProblem(envelope.at_x(1.0), build_kernel(envelope, 1.0, 64),
+                                  SlowFunction.constant(1.0), 2.0, 128)
+        h = problem.horizon / problem.intervals
+        assert math.exp(-64.0**2 * h * BLOCK) == 0.0
+        assert_matches_march(problem)
+
+    def test_singular_step_named_like_march(self):
+        # den_i = 1 + (h/2) c(t_i) vanishes at t = 3 (node 192 of 256)
+        kernel = Kernel(((1, SlowFunction.monomial(-128.0 / 3.0, 1)),))
+        problem = VolterraProblem(SlowFunction.constant(1.0), kernel,
+                                  SlowFunction.constant(1.0), 4.0, 256)
+        with pytest.raises(SingularEquationError) as blocked:
+            solve(problem)
+        with pytest.raises(SingularEquationError) as stepped:
+            march_separable(problem)
+        assert str(blocked.value) == str(stepped.value) == "singular step at t = 3"
 
 
 class TestConvergenceOrder:
