@@ -63,8 +63,11 @@ def main(argv=None) -> int:
         if args.modes is not None:
             params["n_max"] = args.modes
         if args.omega_ladder is not None:
-            params["omega_ladder"] = [float(w) for w in
-                                      args.omega_ladder.split(",") if w]
+            try:
+                params["omega_ladder"] = [float(w) for w in
+                                          args.omega_ladder.split(",") if w]
+            except ValueError as exc:
+                raise scenarios.ScenarioError(f"--omega-ladder: {exc}") from exc
         scenario = scenarios.Scenario(scenario.kind, params, scenario.functions)
         report = scenarios.run(scenario)
         scenarios.emit(report, args.format, args.out)

@@ -19,12 +19,13 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import asymptotics as asy
 from . import inverse as inv
-from .catalog import FastProfile, SineSeries, SlowFunction, SourceFactor
+from .catalog import CatalogError, FastProfile, SineSeries, SlowFunction, SourceFactor
 from .forward import HeatProblem, solve_heat, trace
 
 __all__ = [
@@ -111,25 +112,32 @@ def payload_to_slow(payload, where: str) -> SlowFunction:
 
 
 def payload_to_fast(payload, where: str) -> FastProfile:
+    if not isinstance(payload, list):
+        raise ScenarioError(f"bad fast-profile payload at {where}: expected a list "
+                            f"of harmonic records, got {payload!r}")
     harmonics = []
     for rec in payload:
         try:
-            harmonics.append((
-                int(rec["k"]),
-                payload_to_slow(rec.get("cos", []), where),
-                payload_to_slow(rec.get("sin", []), where),
-            ))
-        except (KeyError, TypeError) as exc:
+            k = int(rec["k"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise ScenarioError(f"bad fast-profile record at {where}: {exc}") from exc
+        harmonics.append((k, payload_to_slow(rec.get("cos", []), where),
+                          payload_to_slow(rec.get("sin", []), where)))
     return FastProfile(harmonics)
 
 
 def payload_to_series(payload, where: str) -> SineSeries:
-    try:
-        return SineSeries({int(n): payload_to_slow(terms, f"{where}[{n}]")
-                           for n, terms in payload.items()})
-    except (TypeError, AttributeError) as exc:
-        raise ScenarioError(f"bad sine-series payload at {where}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ScenarioError(f"bad sine-series payload at {where}: expected an object "
+                            f"keyed by mode number, got {payload!r}")
+    modes = {}
+    for n, terms in payload.items():
+        try:
+            mode = int(n)
+        except ValueError as exc:
+            raise ScenarioError(f"bad sine-series mode {n!r} at {where}") from exc
+        modes[mode] = payload_to_slow(terms, f"{where}[{n}]")
+    return SineSeries(modes)
 
 
 # function tag -> (catalog type, decoder)
@@ -157,7 +165,10 @@ def _payload_to_function(payload, where: str):
     (tag, body), = payload.items()
     if tag not in FUNCTION_TAGS:
         raise ScenarioError(f"unknown function tag {tag!r} at {where}")
-    return FUNCTION_TAGS[tag][1](body, where)
+    try:
+        return FUNCTION_TAGS[tag][1](body, where)
+    except CatalogError as exc:  # well-formed terms the catalog refuses
+        raise ScenarioError(f"bad {tag} function at {where}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +192,12 @@ def parse_scenario_dict(data: dict) -> Scenario:
     kind = data.get("kind")
     if kind not in KINDS:
         raise ScenarioError(f"unknown kind {kind!r}; expected one of {KINDS}")
-    params = dict(data.get("params", {}))
+    params = data.get("params", {})
     raw_functions = data.get("functions", {})
+    for section, table in (("params", params), ("functions", raw_functions)):
+        if not isinstance(table, dict):
+            raise ScenarioError(f"{section!r} must be a JSON object, got {table!r}")
+    params = dict(params)
     need_params, need_funcs = REQUIRED[kind]
     for name in sorted(need_params):
         if params.get(name) is None:  # absent or null
@@ -295,6 +310,48 @@ def _jsonable(obj):
         return obj.item()
     if isinstance(obj, (bool, int, float, str)) or obj is None:
         return obj
+    raise ScenarioError(f"cannot serialize value {obj!r}")
+
+
+_FLOAT_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` of a ``_jsonable`` value.
+
+    The stdlib encoder turns to its pure-Python path when ``indent`` is set,
+    paying a generator step per float; here a list of floats is one
+    ``join`` of ``float.__repr__``.  Finite float reprs contain no ``n``, so
+    an ``n`` in the joined text means a nan or inf to be spelled as JSON's
+    ``NaN`` / ``Infinity`` tokens, item by item.
+    """
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (encode_basestring_ascii(k) + ": " + _json_text(v, inner)
+                 for k, v in sorted(obj.items()))
+        return "{" + inner + sep.join(items) + indent + "}"
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {float}:
+            text = sep.join(map(float.__repr__, obj))
+            if "n" not in text:
+                return "[" + inner + text + indent + "]"
+        return "[" + inner + sep.join(_json_text(v, inner) for v in obj) + indent + "]"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _FLOAT_TOKENS.get(text, text)
     raise ScenarioError(f"cannot serialize value {obj!r}")
 
 
@@ -551,7 +608,7 @@ def emit(report: RunReport, fmt: str, path: str) -> str:
     payload = _jsonable({"kind": kind, "results": report.results, "flags": report.flags})
     payload["scenario"] = serialize_scenario(report.scenario)
     if fmt == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = _json_text(payload) + "\n"
     elif fmt == "csv":
         cols, rows = _csv_rows(kind, payload["results"])
         lines = [",".join(cols)]

@@ -161,6 +161,27 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="r0"):
             parse_scenario_dict(payload)
 
+    @pytest.mark.parametrize("section, name, value, where", [
+        ("params", None, [1, 2], "'params'"),
+        ("functions", None, [1], "'functions'"),
+        ("functions", "f", {"series": {"a": [[1.0, 0, 0.0]]}}, "mode 'a' at f"),
+        ("functions", "f", {"series": {"0": [[1.0, 0, 0.0]]}}, "at f"),
+        ("functions", "r1", {"fast": [{"k": 0, "sin": [[1.0, 0, 0.0]]}]}, "at r1"),
+    ], ids=["params-list", "functions-list", "series-mode-text", "series-mode-zero",
+            "fast-k-zero"])
+    def test_malformed_shape_is_scenario_error(self, tmp_path, capsys, section, name,
+                                               value, where):
+        payload = forward_payload()
+        if name is None:
+            payload[section] = value
+        else:
+            payload[section][name] = value
+        with pytest.raises(ScenarioError, match=where):
+            parse_scenario_dict(payload)
+        path = write_scenario(tmp_path, payload)
+        assert main(["forward", "--scenario", path, "--out", "-"]) == 1
+        assert "osckit: scenario error:" in capsys.readouterr().err
+
 
 class TestRun:
     def test_forward_zero_envelope_is_zero_field(self):
@@ -426,6 +447,12 @@ class TestCommandLine:
                                                 capsys):
         assert main([kind, "--scenario", scenario, flag, value, "--out", "-"]) == 1
         assert "osckit: scenario error:" in capsys.readouterr().err
+
+    def test_non_numeric_omega_ladder_is_scenario_error(self, capsys):
+        assert main(["convergence", "--scenario", "golden-convergence",
+                     "--omega-ladder", "abc", "--out", "-"]) == 1
+        assert "osckit: scenario error: --omega-ladder: could not convert string " \
+            "to float: 'abc'" in capsys.readouterr().err
 
     def test_negative_tolerance_is_scenario_error(self, tmp_path, capsys):
         golden = serialize_scenario(builtin_scenario("golden"))

@@ -15,7 +15,12 @@ from osckit.catalog import (
     duhamel_slow,
     exp_kernel_moment,
 )
-from osckit.scenarios import Scenario, parse_scenario_dict, serialize_scenario
+from osckit.scenarios import (
+    Scenario,
+    _json_text,
+    parse_scenario_dict,
+    serialize_scenario,
+)
 
 from _oracles import times_exp
 
@@ -103,3 +108,29 @@ def test_serialize_then_parse_round_trip(params, envelope, mean, oscillation):
     original = Scenario("forward", params, {"f": envelope, "r0": mean, "r1": oscillation})
     text = json.dumps(serialize_scenario(original))
     assert parse_scenario_dict(json.loads(text)) == original
+
+
+# JSON values of the types ``scenarios._jsonable`` returns.  Floats include the
+# non-finite values, signed zero, the smallest subnormal and a repr in exponent
+# form; strings include control and non-ASCII characters.
+edge_floats = st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16])
+json_floats = st.one_of(st.floats(), edge_floats)
+json_text = st.text(st.sampled_from("az\x00\x1f\"\\\n\t\x7f\xe9\u03c9\u2028\U0001f600"),
+                    max_size=6)
+scalars = st.one_of(st.none(), st.booleans(), st.integers(), json_floats, json_text)
+finite_grids = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                        min_size=40, max_size=200)
+grids = st.one_of(finite_grids, st.builds(
+    lambda items, where, bad: items[:where] + [bad] + items[where:],
+    finite_grids, st.integers(0, 200), st.sampled_from([math.nan, math.inf, -math.inf])))
+json_values = st.recursive(
+    st.one_of(scalars, grids, st.lists(scalars, max_size=6), st.just([]), st.just({})),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(json_text, children, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(json_values)
+def test_report_writer_matches_indented_dumps(value):
+    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
