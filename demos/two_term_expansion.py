@@ -34,8 +34,7 @@ print("\nomega    ||u-u0||      ||W||         omega*||W||")
 for omega in (64.0, 128.0, 256.0, 512.0):
     problem = HeatProblem(envelope, SourceFactor(mean, oscillation),
                           omega, horizon=1.0)
-    r1 = residual_norm(problem, expansion, order=1, x_count=33)
-    r2 = residual_norm(problem, expansion, order=2, x_count=33)
+    r1, r2 = residual_norm(problem, x_count=33)
     print(f"{omega:6.0f}  {r1:.4e}   {r2:.4e}   {omega * r2:.4e}")
 
 print("\nboth columns shrink: the leading term is o(1)-accurate and the")

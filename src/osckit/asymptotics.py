@@ -188,56 +188,37 @@ def resolving_time_count(omega: float, horizon: float) -> int:
     return max(int(math.ceil(POINTS_PER_PERIOD * periods)) + 1, 513)
 
 
-def residual_norm(problem: HeatProblem, expansion: TwoTermExpansion | None = None,
-                  order: int = 2, x_count: int = 65,
-                  t_count: int | None = None) -> float:
-    """Sup over a resolving grid of ``|u - (expansion truncated at order)|``.
+def residual_norm(problem: HeatProblem, x_count: int = 65) -> tuple[float, float]:
+    """Sups of ``|u - u0|`` and ``|u - u0 - (u1 + v1)/omega|`` on a resolving grid.
 
-    Order 1 compares against u0 alone, order 2 against the full two-term
-    composition.  The time grid must carry at least POINTS_PER_PERIOD nodes
-    per fast period so oscillation peaks enter the sup, and at most
-    MAX_TIME_NODES.  The remainder is summed mode by mode (the oscillatory
-    amplitudes of u, less the expansion's corrections) and synthesized once.
+    The grid has ``resolving_time_count`` times, POINTS_PER_PERIOD per fast
+    period so oscillation peaks enter the sup, and at most MAX_TIME_NODES.
+    Both orders come from one pass of oscillatory amplitudes (u - u0, mode
+    by mode); order 2 subtracts the corrections from those rows.
     """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    need = resolving_time_count(problem.omega, problem.horizon)
-    if need > MAX_TIME_NODES:
+    t_count = resolving_time_count(problem.omega, problem.horizon)
+    if t_count > MAX_TIME_NODES:
         raise ValueError(
-            f"omega * T = {problem.omega * problem.horizon:g} needs {need} time "
+            f"omega * T = {problem.omega * problem.horizon:g} needs {t_count} time "
             f"nodes to resolve the fast phase, above MAX_TIME_NODES = {MAX_TIME_NODES}"
-        )
-    t_count = need if t_count is None else t_count
-    if t_count < need:
-        raise ValueError(
-            f"t_count {t_count} too coarse for omega {problem.omega:g}: "
-            f"need at least {need} nodes"
         )
     if x_count < 2:
         raise ValueError("grid counts must be >= 2")
-    if expansion is None:
-        expansion = TwoTermExpansion.for_problem(problem)
-    omega, lead = problem.omega, expansion.leading
+    expansion = TwoTermExpansion.for_problem(problem)
+    omega, own = problem.omega, problem.active_modes
     t = np.linspace(0.0, problem.horizon, t_count)
-    own = problem.active_modes
-    rem = dict(zip(own, oscillatory_amplitudes(problem, own, t)))
-
-    def add(n, row):
-        rem[n] = rem.get(n, 0.0) + row
-
-    mean_part = leading_term(problem.envelope, problem.factor.mean, problem.n_max)
-    if lead != mean_part:  # u0 of other data: add the mean parts' difference
-        for n in own:
-            add(n, mean_part.mode_amplitude(n, t))
-        for n in lead.modes:
-            add(n, -lead.mode_amplitude(n, t))
-    if order == 2:
-        for n in expansion.layer.modes:
-            add(n, -expansion.layer.mode_amplitude(n, t) / omega)
-        profile = expansion.fast.profile(t, omega * t)
-        for n, coeff in expansion.fast.envelope.modes.items():
-            add(n, -coeff(t) * profile / omega)
-    modes = sorted(rem)
-    rows = np.reshape([rem[n] for n in modes], (-1, t.size))
+    first = dict(zip(own, oscillatory_amplitudes(problem, own, t)))
+    second = dict(first)  # rows are replaced, never updated in place
+    for n in expansion.layer.modes:
+        second[n] = second[n] - expansion.layer.mode_amplitude(n, t) / omega
+    profile = expansion.fast.profile(t, omega * t)
+    for n, coeff in expansion.fast.envelope.modes.items():  # all modes, even > n_max
+        second[n] = second.get(n, 0.0) - coeff(t) * profile / omega
     x = np.linspace(0.0, math.pi, x_count)
-    return float(np.max(np.abs(sine_synthesis(x, modes, rows))))
+
+    def sup(rows: dict) -> float:
+        modes = sorted(rows)
+        grid = np.reshape([rows[n] for n in modes], (-1, t.size))
+        return float(np.max(np.abs(sine_synthesis(x, modes, grid))))
+
+    return sup(first), sup(second)

@@ -45,6 +45,14 @@ class CatalogError(ValueError):
     """Requested transform leaves the closed-form catalog."""
 
 
+def _require_finite(owner, *names: str) -> None:
+    """Raise ``ValueError`` naming the first of ``owner``'s fields that is nan or inf."""
+    for name in names:
+        value = getattr(owner, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # slow time factors:  sum of c * t^m * e^{g t}
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .catalog import (
     SineSeries,
     SourceFactor,
     _gauss_nodes,
+    _require_finite,
     duhamel_oscillatory,
     duhamel_weight,
     sine_synthesis,
@@ -48,6 +49,7 @@ class HeatProblem:
     def __post_init__(self):
         if not isinstance(self.envelope, (SineSeries, SampledSeries)):
             raise TypeError(f"envelope {self.envelope!r} is not a SineSeries or SampledSeries")
+        _require_finite(self, "omega", "horizon")
         if self.omega <= 0:
             raise ValueError("omega must be positive")
         if self.horizon <= 0:

@@ -24,6 +24,7 @@ from .catalog import (  # noqa: F401
     GridFunction,
     SineSeries,
     SlowFunction,
+    _require_finite,
     duhamel_slow,
     duhamel_weight,
     sine_coefficients,
@@ -97,6 +98,7 @@ class TraceObservation:
     initial_layer: SlowFunction | None = None
 
     def __post_init__(self):
+        _require_finite(self, "horizon")
         if not 0.0 < self.x0 < math.pi:
             raise ValueError(f"x0 = {self.x0:g} outside (0, pi)")
         if self.horizon <= 0:
@@ -112,6 +114,7 @@ class SnapshotObservation:
     profile: SineSeries
 
     def __post_init__(self):
+        _require_finite(self, "t0")
         if self.t0 <= 0:
             raise ValueError("t0 must be positive")
 
@@ -137,6 +140,7 @@ class MultiPointObservation:
     horizon: float
 
     def __post_init__(self):
+        _require_finite(self, "half_width", "horizon")
         object.__setattr__(self, "x_points", tuple(float(x) for x in self.x_points))
         object.__setattr__(self, "interior_traces", tuple(self.interior_traces))
         n = len(self.x_points)

@@ -105,10 +105,14 @@ class RunReport:
 # ---------------------------------------------------------------------------
 
 def payload_to_slow(payload, where: str) -> SlowFunction:
-    try:
-        return SlowFunction([(float(c), int(m), float(g)) for c, m, g in payload])
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad slow-function term list at {where}: {exc}") from exc
+    if not isinstance(payload, list) or not all(
+            isinstance(term, list) and len(term) == 3 for term in payload):
+        raise ScenarioError(f"bad slow-function term list at {where}: expected "
+                            f"[[coeff, power, rate], ...], got {payload!r}")
+    return SlowFunction([(_finite(c, f"coefficient of term {i} at {where}"),
+                          _integer(m, f"power of term {i} at {where}"),
+                          _finite(g, f"rate of term {i} at {where}"))
+                         for i, (c, m, g) in enumerate(payload)])
 
 
 def payload_to_fast(payload, where: str) -> FastProfile:
@@ -116,13 +120,14 @@ def payload_to_fast(payload, where: str) -> FastProfile:
         raise ScenarioError(f"bad fast-profile payload at {where}: expected a list "
                             f"of harmonic records, got {payload!r}")
     harmonics = []
-    for rec in payload:
-        try:
-            k = int(rec["k"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ScenarioError(f"bad fast-profile record at {where}: {exc}") from exc
-        harmonics.append((k, payload_to_slow(rec.get("cos", []), where),
-                          payload_to_slow(rec.get("sin", []), where)))
+    for i, rec in enumerate(payload):
+        at = f"{where}[{i}]"
+        if not isinstance(rec, dict) or "k" not in rec or rec.keys() - {"k", "cos", "sin"}:
+            raise ScenarioError(f"bad fast-profile record at {at}: expected keys 'k' "
+                                f"and optionally 'cos', 'sin', got {rec!r}")
+        k = _integer(rec["k"], f"harmonic 'k' at {at}")
+        harmonics.append((k, payload_to_slow(rec.get("cos", []), f"{at}.cos"),
+                          payload_to_slow(rec.get("sin", []), f"{at}.sin")))
     return FastProfile(harmonics)
 
 
@@ -132,11 +137,10 @@ def payload_to_series(payload, where: str) -> SineSeries:
                             f"keyed by mode number, got {payload!r}")
     modes = {}
     for n, terms in payload.items():
-        try:
-            mode = int(n)
-        except ValueError as exc:
-            raise ScenarioError(f"bad sine-series mode {n!r} at {where}") from exc
-        modes[mode] = payload_to_slow(terms, f"{where}[{n}]")
+        if not (isinstance(n, str) and n.isascii() and n.isdecimal() and n[0] != "0"):
+            raise ScenarioError(f"bad sine-series mode {n!r} at {where}: mode keys "
+                                f"are positive integers without leading zeros")
+        modes[int(n)] = payload_to_slow(terms, f"{where}[{n}]")
     return SineSeries(modes)
 
 
@@ -217,12 +221,18 @@ def _finite(value, what: str) -> float:
     return float(value)
 
 
+def _integer(value, what: str) -> int:
+    """The one integer rule: a JSON integer, not 2.0, a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _validate_ranges(s: Scenario):
     for name, low in INTEGER_BOUNDS.items():
-        value = s.params.get(name, low)
-        if isinstance(value, bool) or not isinstance(value, int) or value < low:
-            raise ScenarioError(f"parameter {name!r} must be an integer >= {low}, "
-                                f"got {value!r}")
+        if _integer(s.params.get(name, low), f"parameter {name!r}") < low:
+            raise ScenarioError(f"parameter {name!r} must be >= {low}, "
+                                f"got {s.params[name]!r}")
     num = {name: _finite(s.params[name], f"parameter {name!r}")
            for name in FLOAT_PARAMS if s.params.get(name) is not None}
     for name in TOLERANCES:
@@ -440,10 +450,8 @@ def _run_forward(s: Scenario) -> tuple[dict, dict]:
     return results, {"warnings": u.meta.get("warnings", [])}
 
 
-def _ladder_row(s: Scenario, problem: HeatProblem, expansion) -> dict:
-    x_count = int(s.param("x_count"))
-    r1 = asy.residual_norm(problem, expansion, order=1, x_count=x_count)
-    r2 = asy.residual_norm(problem, expansion, order=2, x_count=x_count)
+def _ladder_row(s: Scenario, problem: HeatProblem) -> dict:
+    r1, r2 = asy.residual_norm(problem, x_count=int(s.param("x_count")))
     return {"omega": problem.omega, "residual_order1": r1,
             "residual_order2": r2, "omega_times_residual2": problem.omega * r2}
 
@@ -451,7 +459,7 @@ def _ladder_row(s: Scenario, problem: HeatProblem, expansion) -> dict:
 def _run_asymptotics(s: Scenario) -> tuple[dict, dict]:
     problem = _heat_problem(s, float(s.param("omega")))
     expansion = asy.TwoTermExpansion.for_problem(problem)
-    row = _ladder_row(s, problem, expansion)
+    row = _ladder_row(s, problem)
     x = np.linspace(0.0, math.pi, int(s.param("x_count")))
     match = expansion.layer.evaluate_grid(x, [0.0])[:, 0] \
         + expansion.fast.evaluate_grid(x, [0.0], problem.omega)[:, 0]
@@ -460,11 +468,8 @@ def _run_asymptotics(s: Scenario) -> tuple[dict, dict]:
 
 
 def _run_convergence(s: Scenario) -> tuple[dict, dict]:
-    rows = []
-    for omega in s.param("omega_ladder"):
-        problem = _heat_problem(s, float(omega))
-        expansion = asy.TwoTermExpansion.for_problem(problem)
-        rows.append(_ladder_row(s, problem, expansion))
+    rows = [_ladder_row(s, _heat_problem(s, float(omega)))
+            for omega in s.param("omega_ladder")]
     return {"ladder": rows}, {}
 
 

@@ -4,10 +4,11 @@ Solves ``diagonal(t) l(t) + integral_0^t K(t, s) l(s) ds = rhs(t)`` on a
 uniform grid.  Separable kernels ``K(t, s) = sum_n c_n(s) e^{-n^2 (t-s)}``
 march block by block: each block of ``BLOCK`` steps is one lower-triangular
 solve, and the history enters through an N-vector of mode sums carried from
-block to block, O(M (BLOCK + modes)) in all.  Arbitrary kernel callables
-fall back to row-wise trapezoid sums.  A spectral resolvent gives the exact
-solution of the constant-coefficient separable case (needed where the
-O(h^2) marching error would mask a data-consistency question).
+block to block, O(M (BLOCK + modes)) in all.  Kernels are always separable
+(``Kernel``); a zero kernel reduces the equation to a division.  A spectral
+resolvent gives the exact solution of the constant-coefficient separable
+case (needed where the O(h^2) marching error would mask a data-consistency
+question).
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ class VolterraProblem:
     """diagonal(t) l(t) + int_0^t K(t,s) l(s) ds = rhs(t) on [0, horizon]."""
 
     diagonal: object  # SlowFunction | callable | ndarray
-    kernel: object    # Kernel | callable K(t, s)
+    kernel: Kernel
     rhs: object       # SlowFunction | callable | ndarray
     horizon: float
     intervals: int = 2048
@@ -112,10 +113,12 @@ def solve(problem: VolterraProblem) -> GridFunction:
         l_i = [rhs_i - h (K(t_i,t_0) l_0 / 2 + sum_{0<j<i} K(t_i,t_j) l_j)]
               / [diag_i + (h/2) K(t_i,t_i)].
 
-    A separable kernel solves these rows ``BLOCK`` at a time (see
-    ``_march_blocks``); a zero kernel divides, and a kernel callable sums
-    each row.
+    The separable kernel solves these rows ``BLOCK`` at a time (see
+    ``_march_blocks``); a zero kernel divides.  A kernel that is not a
+    ``Kernel`` raises ``TypeError``.
     """
+    if not isinstance(problem.kernel, Kernel):
+        raise TypeError(f"kernel {problem.kernel!r} is not a separable Kernel")
     t = problem.grid()
     h = problem.horizon / problem.intervals
     g = _sample(problem.diagonal, t, "diagonal")
@@ -123,11 +126,10 @@ def solve(problem: VolterraProblem) -> GridFunction:
     if np.min(np.abs(g)) <= DENOMINATOR_FLOOR:
         raise SingularEquationError("diagonal coefficient not bounded away from zero")
 
-    m = t.size
-    l = np.empty(m)
+    l = np.empty(t.size)
     l[0] = mu[0] / g[0]
 
-    if isinstance(problem.kernel, Kernel) and problem.kernel.modes:
+    if problem.kernel.modes:
         ns = np.array([n for n, _ in problem.kernel.modes], dtype=float)
         cs = np.vstack([_sample(c, t, "kernel coefficient")
                         for _, c in problem.kernel.modes])
@@ -136,17 +138,8 @@ def solve(problem: VolterraProblem) -> GridFunction:
         if bad.size:
             raise SingularEquationError(f"singular step at t = {t[bad[0] + 1]:g}")
         _march_blocks(l, mu, den, cs, ns, h)
-    elif isinstance(problem.kernel, Kernel):
-        l[1:] = mu[1:] / g[1:]  # zero kernel
     else:
-        kernel = problem.kernel
-        for i in range(1, m):
-            row = np.asarray(kernel(t[i], t[: i + 1]), dtype=float)
-            den = g[i] + 0.5 * h * row[i]
-            if abs(den) < DENOMINATOR_FLOOR:
-                raise SingularEquationError(f"singular step at t = {t[i]:g}")
-            acc = 0.5 * row[0] * l[0] + row[1:i] @ l[1:i]
-            l[i] = (mu[i] - h * acc) / den
+        l[1:] = mu[1:] / g[1:]  # zero kernel
     return GridFunction((t,), l, {"intervals": problem.intervals, "h": h})
 
 

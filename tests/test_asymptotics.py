@@ -201,10 +201,11 @@ class TestResidualNorm:
     def test_exact_when_no_oscillation(self):
         problem = HeatProblem(ENVELOPE, SourceFactor(LINEAR_MEAN, FastProfile.zero()),
                               100.0, 1.0)
-        assert residual_norm(problem, order=2, x_count=17, t_count=513) < 1e-10
+        assert resolving_time_count(problem.omega, problem.horizon) == 513
+        assert residual_norm(problem, x_count=17)[1] < 1e-10
 
     def test_order_one_residual_decreases(self):
-        values = [residual_norm(reference_problem(w), order=1, x_count=33)
+        values = [residual_norm(reference_problem(w), x_count=33)[0]
                   for w in (100.0, 200.0)]
         assert values[1] < values[0]
 
@@ -213,16 +214,10 @@ class TestResidualNorm:
         weighted = []
         for w in ladder:
             problem = reference_problem(w)
-            r2 = residual_norm(problem, order=2, x_count=33)
-            r1 = residual_norm(problem, order=1, x_count=33)
+            r1, r2 = residual_norm(problem, x_count=33)
             assert r2 < r1
             weighted.append(w * r2)
         assert all(a > b for a, b in zip(weighted, weighted[1:]))
-
-    def test_coarse_grid_rejected(self):
-        problem = reference_problem(512.0)
-        with pytest.raises(ValueError, match="coarse"):
-            residual_norm(problem, order=1, t_count=64)
 
     def test_resolving_count_scales_with_omega(self):
         assert resolving_time_count(2.0 * math.pi * 100.0, 1.0) >= 1601
@@ -233,12 +228,8 @@ class TestResidualNorm:
                             lambda *a: calls.append("amplitudes"))
         monkeypatch.setattr(catalog, "exp_kernel_moment",
                             lambda *a: calls.append("moment"))
-        problem = reference_problem(1e6)
-        for order in (1, 2):
-            with pytest.raises(ValueError, match="MAX_TIME_NODES"):
-                residual_norm(problem, order=order)
-            with pytest.raises(ValueError, match="MAX_TIME_NODES"):
-                residual_norm(problem, order=order, t_count=10**7)
+        with pytest.raises(ValueError, match="MAX_TIME_NODES"):
+            residual_norm(reference_problem(1e6))
         assert calls == []
 
 
@@ -251,7 +242,7 @@ def rich_problem(omega, n_max=32):
 
 
 class TestModalRemainder:
-    """residual_norm against the grid remainder it replaced."""
+    """Both values of residual_norm against the grid remainder it replaced."""
 
     @pytest.mark.parametrize("omega", [64.0, 128.0, 256.0, 512.0])
     @pytest.mark.parametrize("order", [1, 2])
@@ -259,7 +250,7 @@ class TestModalRemainder:
         problem = reference_problem(omega)
         expansion = TwoTermExpansion.for_problem(problem)
         want = grid_remainder(problem, expansion, order, x_count=33)
-        got = residual_norm(problem, expansion, order=order, x_count=33)
+        got = residual_norm(problem, x_count=33)[order - 1]
         assert abs(got - want) < 1e-14
 
     @pytest.mark.parametrize("order", [1, 2])
@@ -267,30 +258,27 @@ class TestModalRemainder:
         problem = rich_problem(2500.0)
         expansion = TwoTermExpansion.for_problem(problem)
         want = grid_remainder(problem, expansion, order)
-        assert abs(residual_norm(problem, expansion, order=order) - want) < 1e-14
+        assert abs(residual_norm(problem)[order - 1] - want) < 1e-14
+
+    def test_truncated_envelope_matches_grid_remainder(self):
+        # mode 5 lies above n_max: it enters v1 but neither u nor u0
+        problem = rich_problem(1000.0, n_max=4)
+        expansion = TwoTermExpansion.for_problem(problem)
+        got = residual_norm(problem)
+        for order in (1, 2):
+            assert abs(got[order - 1] - grid_remainder(problem, expansion, order)) < 1e-14
 
     def test_steady_source_matches_grid_remainder(self):
         problem = HeatProblem(ENVELOPE, SourceFactor(LINEAR_MEAN, FastProfile.zero()),
                               100.0, 1.0)
         expansion = TwoTermExpansion.for_problem(problem)
+        got = residual_norm(problem, x_count=17)
         for order in (1, 2):
             want = grid_remainder(problem, expansion, order, x_count=17)
-            got = residual_norm(problem, expansion, order=order, x_count=17)
-            assert abs(got - want) < 1e-14
-
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_foreign_expansion_matches_grid_remainder(self, order):
-        problem = rich_problem(1000.0, n_max=4)
-        other_mean = SlowFunction([(1.1, 1, 0.0), (0.2, 0, -3.0)])
-        other = TwoTermExpansion.build(SineSeries({1: 1.0, 2: 0.5, 7: 0.1}),
-                                       other_mean, SINE_OSC, n_max=8)
-        want = grid_remainder(problem, other, order)
-        got = residual_norm(problem, other, order=order)
-        assert want > 1e-2  # the mismatch is really there
-        assert abs(got - want) < 1e-14
+            assert abs(got[order - 1] - want) < 1e-14
 
     @staticmethod
-    def count_moments(monkeypatch, problem, order):
+    def count_moments(monkeypatch, problem):
         calls = []
         moment = catalog.exp_kernel_moment
 
@@ -299,7 +287,7 @@ class TestModalRemainder:
             return moment(power, rate, decay, t)
 
         monkeypatch.setattr(catalog, "exp_kernel_moment", counted)
-        residual_norm(problem, order=order)
+        residual_norm(problem)
         monkeypatch.undo()
         return calls
 
@@ -312,10 +300,9 @@ class TestModalRemainder:
             for _, a, b in problem.factor.oscillation.harmonics:
                 expected += len({term[1:] for c in (a, b) if not c.is_zero
                                  for term in (fn * c).terms})
-        for order in (1, 2):
-            calls = self.count_moments(monkeypatch, problem, order)
-            assert len(calls) == expected
-            assert all(complex(rate).imag != 0.0 for _, rate, _ in calls)
+        calls = self.count_moments(monkeypatch, problem)
+        assert len(calls) == expected
+        assert all(complex(rate).imag != 0.0 for _, rate, _ in calls)
 
     def test_cos_and_sin_parts_share_moments(self, monkeypatch):
         # constant harmonic coefficients: cos and sin parts of every harmonic
@@ -326,7 +313,7 @@ class TestModalRemainder:
         per_part = sum(len((envelope.coefficient(n) * c).terms)
                        for n in problem.active_modes
                        for _, a, b in oscillation.harmonics for c in (a, b))
-        calls = self.count_moments(monkeypatch, problem, 1)
+        calls = self.count_moments(monkeypatch, problem)
         assert 2 * len(calls) == per_part
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -40,6 +41,9 @@ BUILTIN_CSV_SHA256 = {
     "golden-convergence": "ac16549455f5a64f9e907dc366aedab4ddeba96f4a15ccf905d6c31bf5d472b1",
     "golden-forward": "f3b0fb2649f9a3abd3730022712c37b31c03f6642961a30512ff8ed47c6ab8be",
 }
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def write_scenario(tmp_path, payload, name="case.json"):
@@ -167,8 +171,18 @@ class TestParsing:
         ("functions", "f", {"series": {"a": [[1.0, 0, 0.0]]}}, "mode 'a' at f"),
         ("functions", "f", {"series": {"0": [[1.0, 0, 0.0]]}}, "at f"),
         ("functions", "r1", {"fast": [{"k": 0, "sin": [[1.0, 0, 0.0]]}]}, "at r1"),
+        ("functions", "r0", {"slow": [[1.0, 1.5, 0.0]]}, "power of term 0 at r0"),
+        ("functions", "r0", {"slow": [["2.5", True, "0"]]},
+         "coefficient of term 0 at r0"),
+        ("functions", "r1", {"fast": [{"k": 1.9, "sin": [[1.0, 0, 0.0]]}]},
+         "'k' at r1\\[0\\]"),
+        ("functions", "f", {"series": {"1": [[1.0, 0, 0.0]], "01": [[2.0, 0, 0.0]]}},
+         "mode '01' at f"),
+        ("functions", "r1", {"fast": [{"k": 1, "cosine": [[1.0, 0, 0.0]]}]},
+         "record at r1\\[0\\]"),
     ], ids=["params-list", "functions-list", "series-mode-text", "series-mode-zero",
-            "fast-k-zero"])
+            "fast-k-zero", "fractional-power", "string-and-bool-term", "fractional-k",
+            "non-canonical-mode", "unknown-harmonic-key"])
     def test_malformed_shape_is_scenario_error(self, tmp_path, capsys, section, name,
                                                value, where):
         payload = forward_payload()
@@ -219,6 +233,21 @@ class TestRun:
         rows = report.results["ladder"]
         weighted = [row["omega_times_residual2"] for row in rows]
         assert all(a > b for a, b in zip(weighted, weighted[1:]))
+
+    def test_convergence_takes_one_amplitude_pass_per_rung(self, monkeypatch):
+        calls = []
+        amplitudes = asy.oscillatory_amplitudes
+
+        def counted(*args):
+            calls.append(args[0].omega)
+            return amplitudes(*args)
+
+        monkeypatch.setattr(asy, "oscillatory_amplitudes", counted)
+        payload = serialize_scenario(builtin_scenario("golden-convergence"))
+        payload["params"].update(omega_ladder=[64.0, 128.0, 256.0], x_count=9)
+        report = run(parse_scenario_dict(payload))
+        assert calls == [64.0, 128.0, 256.0]
+        assert len(report.results["ladder"]) == 3
 
     def test_asymptotics_kind_reports_residuals(self):
         payload = forward_payload(omega=128.0, x_count=33)
@@ -298,11 +327,10 @@ class TestRun:
         row = report.results if kind == "asymptotics" else report.results["ladder"][0]
         f = scenario.functions
         problem = HeatProblem(f["f"], SourceFactor(f["r0"], f["r1"]), 128.0, 1.0, 32)
-        expansion = asy.TwoTermExpansion.for_problem(problem)
+        want = asy.residual_norm(problem, x_count=4)
         for order in (1, 2):
-            want = asy.residual_norm(problem, expansion, order=order, x_count=4)
-            assert row[f"residual_order{order}"] == want
-        assert row["residual_order1"] != asy.residual_norm(problem, expansion, order=1)
+            assert row[f"residual_order{order}"] == want[order - 1]
+        assert row["residual_order1"] != asy.residual_norm(problem)[0]
 
     def test_inverse2_slow_snapshot_decay_warned(self):
         # psi_n = 1/n^2: n^4 psi_n grows fourfold from modes 1..8 to 9..16
@@ -484,6 +512,7 @@ class TestCommandLine:
         env = {k: v for k, v in os.environ.items()
                if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                             "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+        env["PYTHONPATH"] = str(SRC)
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr

@@ -10,8 +10,10 @@ from osckit.catalog import (
     FastProfile,
     SineSeries,
     SlowFunction,
+    SourceFactor,
     duhamel_weight,
 )
+from osckit.forward import HeatProblem
 from osckit.inverse import (
     IllConditionedSystemError,
     MultiPointObservation,
@@ -557,6 +559,20 @@ class TestRecoverBothFactors:
 
 
 class TestObservationValidation:
+    @pytest.mark.parametrize("field, build", [
+        ("omega", lambda: HeatProblem(ENVELOPE, SourceFactor(LINEAR_MEAN, SINE_OSC),
+                                      math.nan, 1.0)),
+        ("horizon", lambda: HeatProblem(ENVELOPE, SourceFactor(LINEAR_MEAN, SINE_OSC),
+                                        10.0, math.inf)),
+        ("t0", lambda: SnapshotObservation(math.nan, ENVELOPE)),
+        ("horizon", lambda: TraceObservation(1.0, PHI0, PHI2, math.inf)),
+        ("half_width", lambda: golden_observation(half_width=math.nan)),
+    ], ids=["heat-omega-nan", "heat-horizon-inf", "snapshot-t0-nan",
+            "trace-horizon-inf", "window-half-width-nan"])
+    def test_non_finite_field_named(self, field, build):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            build()
+
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             golden_observation(x_points=(1.0, 1.0), interior_traces=(ALPHA1,))

@@ -70,20 +70,20 @@ class TestSolve:
         assert np.max(np.abs(sol.values - rhs(sol.axes[0]))) < 1e-14
 
     def test_constant_kernel_callable_path(self):
-        # l + integral_0^t l = 1  =>  l(t) = e^-t
+        # l + integral_0^t l = 1  =>  l(t) = e^-t; diagonal and rhs as callables
         problem = VolterraProblem(
             diagonal=lambda t: np.ones_like(t),
-            kernel=lambda t, s: np.ones_like(s),
+            kernel=Kernel(((0, SlowFunction.constant(1.0)),)),
             rhs=lambda t: np.ones_like(t),
             horizon=2.0, intervals=1024)
         sol = solve(problem)
         assert np.max(np.abs(sol.values - np.exp(-sol.axes[0]))) < 1e-6
 
-    def test_separable_and_callable_paths_agree(self):
-        problem = reference_problem(intervals=512)
-        fast = solve(problem).values
-        generic = solve(replace(problem, kernel=problem.kernel.__call__)).values
-        assert np.max(np.abs(fast - generic)) < 1e-12
+    def test_non_separable_kernel_rejected(self):
+        problem = replace(reference_problem(intervals=64),
+                          kernel=lambda t, s: np.ones_like(s))
+        with pytest.raises(TypeError, match="Kernel"):
+            solve(problem)
 
     def test_discrete_residual_at_machine_level(self):
         problem = reference_problem(intervals=512)
@@ -189,7 +189,7 @@ class TestConvergenceOrder:
     def test_ode_reducible_case_second_order(self):
         problem = VolterraProblem(
             diagonal=lambda t: np.ones_like(t),
-            kernel=lambda t, s: np.ones_like(s),
+            kernel=Kernel(((0, SlowFunction.constant(1.0)),)),
             rhs=lambda t: np.ones_like(t),
             horizon=2.0, intervals=256)
         report = convergence_order(problem, (256, 512, 1024),
