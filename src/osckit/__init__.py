@@ -10,15 +10,6 @@ argument.  All operations are pure; values are immutable after
 construction.
 """
 
-import os as _os
-
-# honor the thread cap before numpy initializes its pools
-_cap = _os.environ.get("OSK_THREADS")
-if _cap:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        _os.environ.setdefault(_var, _cap)
-
 from .catalog import (
     CatalogError,
     FastProfile,

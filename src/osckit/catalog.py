@@ -258,9 +258,6 @@ class FastProfile:
     def is_zero(self) -> bool:
         return not self.harmonics
 
-    def scale(self, factor: float) -> "FastProfile":
-        return FastProfile([(k, a * float(factor), b * float(factor)) for k, a, b in self.harmonics])
-
     def scale_slow(self, s: SlowFunction) -> "FastProfile":
         return FastProfile([(k, a * s, b * s) for k, a, b in self.harmonics])
 

@@ -4,7 +4,7 @@
 
 ``--scenario`` takes a JSON file path or a built-in name.  Exit codes:
 0 on success, 2 when the run reports a data inconsistency (unsolvable
-reconstruction), 1 on any error.  OSK_THREADS caps numerical parallelism.
+reconstruction), 1 on any error.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 
-from . import scenarios  # the package __init__ has applied OSK_THREADS
+from . import scenarios
 
 
 def build_parser() -> argparse.ArgumentParser:

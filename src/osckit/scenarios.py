@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -41,24 +42,92 @@ __all__ = [
     "emit",
 ]
 
-KINDS = ("forward", "asymptotics", "convergence",
-         "inverse1", "inverse2", "inverse3", "inverse4")
-
-# Every default the runners use, for parameters and functions alike; a
-# missing or null entry reads this table.  A None tolerance means the
-# solver's own default.
-DEFAULTS = {"grid": 2048, "n_max": 32, "x_count": 65, "t_count": 513,
-            "emit_field": False, "tol_lambda": inv.WEIGHT_ZERO_TOL,
-            "tol_coeff": inv.COEFF_ZERO_TOL, "tol_consistency": None,
-            "r1": FastProfile.zero(), "alpha": ()}
-# Lower bounds the solvers put on the integer parameters.
-INTEGER_BOUNDS = {"grid": 2, "n_max": 1, "x_count": 2, "t_count": 2}
-TOLERANCES = ("tol_lambda", "tol_coeff", "tol_consistency")
-FLOAT_PARAMS = ("T", "omega", "x0", "t0", "delta") + TOLERANCES
-
 
 class ScenarioError(ValueError):
     """Malformed or incomplete scenario input."""
+
+
+# Parameter rules take (value, what, bound) and return the typed value.
+
+def _bounded(value, what: str, bound):
+    if bound is None or bound[0](value):
+        return value
+    raise ScenarioError(f"{what} must be {bound[1]}, got {value!r}")
+
+
+def _finite(value, what: str, bound=None) -> float:
+    """A finite JSON number, as a float.  The range test compares exactly, so
+    an integer beyond float range fails it rather than overflow."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ScenarioError(f"{what} must be a finite number, got {value!r}")
+    return _bounded(float(value), what, bound)
+
+
+def _integer(value, what: str, bound=None) -> int:
+    """The one integer rule: a JSON integer, not 2.0, a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{what} must be an integer, got {value!r}")
+    return _bounded(value, what, bound)
+
+
+def _boolean(value, what: str, bound=None) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def _numbers(value, what: str, bound=None) -> tuple:
+    """A non-empty list of finite numbers, each within ``bound``."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ScenarioError(f"{what} must be a non-empty list of numbers, got {value!r}")
+    return tuple(_finite(v, f"entry {i} of {what}", bound) for i, v in enumerate(value))
+
+
+def _at_least(low: int):
+    return (lambda v: v >= low, f">= {low}")
+
+
+POSITIVE = (lambda v: v > 0, "positive")
+INTERIOR = (lambda v: 0.0 < v < math.pi, "in (0, pi)")
+
+# name -> (rule, bound, default): everything known about a parameter.  A
+# missing or null parameter reads its default; a None default means none,
+# so a required parameter is an error and an optional one reads None (for
+# tol_consistency, the solvers' own tolerance).
+PARAMS = {
+    "T": (_finite, POSITIVE, None),
+    "omega": (_finite, POSITIVE, None),
+    "omega_ladder": (_numbers, POSITIVE, None),
+    "x0": (_finite, INTERIOR, None),
+    "x_points": (_numbers, INTERIOR, None),
+    "t0": (_finite, POSITIVE, None),
+    "delta": (_finite, None, None),
+    "grid": (_integer, _at_least(2), 2048),
+    "n_max": (_integer, _at_least(1), 32),
+    "x_count": (_integer, _at_least(2), 65),
+    "t_count": (_integer, _at_least(2), 513),
+    "emit_field": (_boolean, None, False),
+    "tol_lambda": (_finite, _at_least(0), inv.WEIGHT_ZERO_TOL),
+    "tol_coeff": (_finite, _at_least(0), inv.COEFF_ZERO_TOL),
+    "tol_consistency": (_finite, _at_least(0), None),
+}
+
+# kind -> (required parameters, required functions)
+REQUIRED = {
+    "forward": ({"omega", "T"}, {"f", "r0"}),
+    "asymptotics": ({"omega", "T"}, {"f", "r0"}),
+    "convergence": ({"omega_ladder", "T"}, {"f", "r0"}),
+    "inverse1": ({"x0", "T"}, {"f", "phi0", "phi2"}),
+    "inverse2": ({"t0"}, {"r0", "psi"}),
+    "inverse3": ({"x0", "t0", "T"}, {"r0", "psi", "phi0", "phi2"}),
+    "inverse4": ({"t0", "delta", "x_points", "T"}, {"phi0", "phi2", "alpha"}),
+}
+KINDS = tuple(REQUIRED)
+
+# The optional functions: ``r1`` zero, ``alpha`` none (a single point).
+FUNCTION_DEFAULTS = {"r1": FastProfile.zero(), "alpha": ()}
+FUNCTIONS = set(FUNCTION_DEFAULTS).union(*(funcs for _, funcs in REQUIRED.values()))
 
 
 @dataclass(frozen=True)
@@ -68,21 +137,44 @@ class Scenario:
     functions: dict
 
     def __post_init__(self):
-        _validate_ranges(self)
+        for what, given, known in (("parameter", self.params, PARAMS),
+                                   ("function", self.functions, FUNCTIONS)):
+            unknown = sorted(set(given) - set(known))
+            if unknown:
+                raise ScenarioError(f"unknown {what} {unknown[0]!r}; known: "
+                                    f"{', '.join(sorted(known))}")
+        p = {name: self.param(name) for name in PARAMS}
+        if None not in (p["t0"], p["T"]) and p["t0"] > p["T"]:
+            raise ScenarioError("parameter 't0' must not exceed 'T'")
+        if p["x_points"] is not None and len(set(p["x_points"])) != len(p["x_points"]):
+            raise ScenarioError("parameter 'x_points' entries must be distinct")
+        # The two-term expansion averages over fast periods; with less than
+        # one on [0, T] the source does not oscillate and its residuals mean
+        # nothing.  The forward solve is exact at any omega.
+        expansion_omegas = {"asymptotics": (p["omega"],),
+                            "convergence": p["omega_ladder"]}.get(self.kind, ())
+        for omega in expansion_omegas:
+            if omega * p["T"] < 2.0 * math.pi:
+                raise ScenarioError(f"omega {omega!r} completes less than one period "
+                                    f"on [0, T] (omega * T < 2*pi) for kind {self.kind!r}")
 
     def param(self, name: str):
-        return self._lookup(self.params, "parameter", name)
+        """The checked, typed value of a parameter, or its default."""
+        rule, bound, default = PARAMS[name]
+        value = self.params.get(name)
+        if value is not None:
+            return rule(value, f"parameter {name!r}", bound)
+        if name in REQUIRED[self.kind][0]:
+            raise ScenarioError(f"missing parameter {name!r} for kind {self.kind!r}")
+        return default
 
     def function(self, name: str):
-        return self._lookup(self.functions, "function", name)
-
-    def _lookup(self, table: dict, what: str, name: str):
-        value = table.get(name)
+        value = self.functions.get(name)
         if value is not None:
             return value
-        if name in DEFAULTS:
-            return DEFAULTS[name]
-        raise ScenarioError(f"missing {what} {name!r} for kind {self.kind!r}")
+        if name in FUNCTION_DEFAULTS:
+            return FUNCTION_DEFAULTS[name]
+        raise ScenarioError(f"missing function {name!r} for kind {self.kind!r}")
 
 
 @dataclass
@@ -179,17 +271,6 @@ def _payload_to_function(payload, where: str):
 # parse / serialize
 # ---------------------------------------------------------------------------
 
-REQUIRED = {
-    "forward": ({"omega", "T"}, {"f", "r0"}),
-    "asymptotics": ({"omega", "T"}, {"f", "r0"}),
-    "convergence": ({"omega_ladder", "T"}, {"f", "r0"}),
-    "inverse1": ({"x0", "T"}, {"f", "phi0", "phi2"}),
-    "inverse2": ({"t0"}, {"r0", "psi"}),
-    "inverse3": ({"x0", "t0", "T"}, {"r0", "psi", "phi0", "phi2"}),
-    "inverse4": ({"t0", "delta", "x_points", "T"}, {"phi0", "phi2", "alpha"}),
-}
-
-
 def parse_scenario_dict(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
@@ -201,80 +282,12 @@ def parse_scenario_dict(data: dict) -> Scenario:
     for section, table in (("params", params), ("functions", raw_functions)):
         if not isinstance(table, dict):
             raise ScenarioError(f"{section!r} must be a JSON object, got {table!r}")
-    params = dict(params)
-    need_params, need_funcs = REQUIRED[kind]
-    for name in sorted(need_params):
-        if params.get(name) is None:  # absent or null
-            raise ScenarioError(f"missing parameter {name!r} for kind {kind!r}")
-    for name in sorted(need_funcs):
+    for name in sorted(REQUIRED[kind][1]):
         if name not in raw_functions or raw_functions[name] is None:
             raise ScenarioError(f"missing function {name!r} for kind {kind!r}")
     functions = {name: _payload_to_function(payload, name)
                  for name, payload in raw_functions.items()}
-    return Scenario(kind, params, functions)
-
-
-def _finite(value, what: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value):
-        raise ScenarioError(f"{what} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _integer(value, what: str) -> int:
-    """The one integer rule: a JSON integer, not 2.0, a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _validate_ranges(s: Scenario):
-    for name, low in INTEGER_BOUNDS.items():
-        if _integer(s.params.get(name, low), f"parameter {name!r}") < low:
-            raise ScenarioError(f"parameter {name!r} must be >= {low}, "
-                                f"got {s.params[name]!r}")
-    num = {name: _finite(s.params[name], f"parameter {name!r}")
-           for name in FLOAT_PARAMS if s.params.get(name) is not None}
-    for name in TOLERANCES:
-        if num.get(name, 0.0) < 0:
-            raise ScenarioError(f"parameter {name!r} must be >= 0, got {num[name]!r}")
-    horizon = num.get("T", 1.0)
-    if horizon <= 0:
-        raise ScenarioError("parameter 'T' must be positive")
-    if num.get("omega", 1.0) <= 0:
-        raise ScenarioError("parameter 'omega' must be positive")
-    if "x0" in num and not 0.0 < num["x0"] < math.pi:
-        raise ScenarioError("parameter 'x0' must lie in (0, pi)")
-    if "t0" in num:
-        if num["t0"] <= 0:
-            raise ScenarioError("parameter 't0' must be positive")
-        if "T" in num and num["t0"] > horizon:
-            raise ScenarioError("parameter 't0' must not exceed 'T'")
-    if "x_points" in s.params:
-        pts = s.params["x_points"]
-        if not isinstance(pts, (list, tuple)) or not pts:
-            raise ScenarioError("parameter 'x_points' must be a non-empty list")
-        pts = [_finite(x, "x_points entry") for x in pts]
-        for x in pts:
-            if not 0.0 < x < math.pi:
-                raise ScenarioError(f"x_points entry {x!r} outside (0, pi)")
-        if len(set(pts)) != len(pts):
-            raise ScenarioError("x_points entries must be distinct")
-    if "omega_ladder" in s.params:
-        ladder = s.params["omega_ladder"]
-        if not isinstance(ladder, (list, tuple)) or not ladder:
-            raise ScenarioError("parameter 'omega_ladder' must be a non-empty list")
-        if any(_finite(w, "omega_ladder entry") <= 0 for w in ladder):
-            raise ScenarioError("omega_ladder entries must be positive")
-    # The two-term expansion averages over fast periods; with less than one
-    # on [0, T] the source does not oscillate and its residuals mean nothing.
-    # The forward solve is exact at any omega.
-    expansion_omegas = {"asymptotics": [num.get("omega")],
-                        "convergence": s.params.get("omega_ladder", [])}
-    for omega in expansion_omegas.get(s.kind, []):
-        if omega is not None and omega * horizon < 2.0 * math.pi:
-            raise ScenarioError(f"omega {omega!r} completes less than one period "
-                                f"on [0, T] (omega * T < 2*pi) for kind {s.kind!r}")
+    return Scenario(kind, dict(params), functions)
 
 
 def parse_scenario(path: str) -> Scenario:
@@ -426,7 +439,7 @@ def builtin_scenario(name: str) -> Scenario:
 
 def _heat_problem(s: Scenario, omega: float) -> HeatProblem:
     return HeatProblem(s.function("f"), SourceFactor(s.function("r0"), s.function("r1")),
-                       omega, float(s.param("T")), int(s.param("n_max")))
+                       omega, s.param("T"), s.param("n_max"))
 
 
 def _on_grid(g) -> dict:
@@ -434,16 +447,16 @@ def _on_grid(g) -> dict:
 
 
 def _run_forward(s: Scenario) -> tuple[dict, dict]:
-    problem = _heat_problem(s, float(s.param("omega")))
-    u = solve_heat(problem, int(s.param("x_count")), int(s.param("t_count")))
+    problem = _heat_problem(s, s.param("omega"))
+    u = solve_heat(problem, s.param("x_count"), s.param("t_count"))
     results = {
         "sup_norm": u.sup_norm(),
         "x_count": len(u.axes[0]),
         "t_count": len(u.axes[1]),
         "tail_estimate": u.meta.get("tail_estimate", 0.0),
     }
-    if "x0" in s.params:
-        x0 = float(s.params["x0"])
+    x0 = s.param("x0")
+    if x0 is not None:
         results["trace"] = dict(_on_grid(trace(u, x0)), x0=x0)
     if s.param("emit_field"):
         results["field"] = {"x": u.axes[0], "t": u.axes[1], "values": u.values}
@@ -451,16 +464,16 @@ def _run_forward(s: Scenario) -> tuple[dict, dict]:
 
 
 def _ladder_row(s: Scenario, problem: HeatProblem) -> dict:
-    r1, r2 = asy.residual_norm(problem, x_count=int(s.param("x_count")))
+    r1, r2 = asy.residual_norm(problem, x_count=s.param("x_count"))
     return {"omega": problem.omega, "residual_order1": r1,
             "residual_order2": r2, "omega_times_residual2": problem.omega * r2}
 
 
 def _run_asymptotics(s: Scenario) -> tuple[dict, dict]:
-    problem = _heat_problem(s, float(s.param("omega")))
+    problem = _heat_problem(s, s.param("omega"))
     expansion = asy.TwoTermExpansion.for_problem(problem)
     row = _ladder_row(s, problem)
-    x = np.linspace(0.0, math.pi, int(s.param("x_count")))
+    x = np.linspace(0.0, math.pi, s.param("x_count"))
     match = expansion.layer.evaluate_grid(x, [0.0])[:, 0] \
         + expansion.fast.evaluate_grid(x, [0.0], problem.omega)[:, 0]
     row["matching_defect"] = float(np.max(np.abs(match)))
@@ -468,21 +481,19 @@ def _run_asymptotics(s: Scenario) -> tuple[dict, dict]:
 
 
 def _run_convergence(s: Scenario) -> tuple[dict, dict]:
-    rows = [_ladder_row(s, _heat_problem(s, float(omega)))
+    rows = [_ladder_row(s, _heat_problem(s, omega))
             for omega in s.param("omega_ladder")]
     return {"ladder": rows}, {}
 
 
 def _trace_observation(s: Scenario) -> inv.TraceObservation:
-    return inv.TraceObservation(x0=float(s.param("x0")), leading=s.function("phi0"),
-                                oscillating=s.function("phi2"),
-                                horizon=float(s.param("T")))
+    return inv.TraceObservation(x0=s.param("x0"), leading=s.function("phi0"),
+                                oscillating=s.function("phi2"), horizon=s.param("T"))
 
 
 def _run_inverse1(s: Scenario) -> tuple[dict, dict]:
     rec = inv.recover_time_factor(_trace_observation(s), s.function("f"),
-                                  n_max=int(s.param("n_max")),
-                                  intervals=int(s.param("grid")))
+                                  n_max=s.param("n_max"), intervals=s.param("grid"))
     results = {
         "mean": _on_grid(rec.mean_grid),
         "oscillation": rec.oscillation,
@@ -492,11 +503,10 @@ def _run_inverse1(s: Scenario) -> tuple[dict, dict]:
 
 
 def _run_inverse2(s: Scenario) -> tuple[dict, dict]:
-    obs = inv.SnapshotObservation(float(s.param("t0")), s.function("psi"))
+    obs = inv.SnapshotObservation(s.param("t0"), s.function("psi"))
     rec = inv.recover_space_factor(
-        obs, s.function("r0"), n_max=int(s.param("n_max")),
-        tol_weight=float(s.param("tol_lambda")),
-        tol_coeff=float(s.param("tol_coeff")))
+        obs, s.function("r0"), n_max=s.param("n_max"),
+        tol_weight=s.param("tol_lambda"), tol_coeff=s.param("tol_coeff"))
     results = {
         "envelope": rec.envelope,
         "status": rec.report.status,
@@ -510,9 +520,9 @@ def _run_inverse2(s: Scenario) -> tuple[dict, dict]:
 
 
 def _run_inverse3(s: Scenario) -> tuple[dict, dict]:
-    snapshot = inv.SnapshotObservation(float(s.param("t0")), s.function("psi"))
+    snapshot = inv.SnapshotObservation(s.param("t0"), s.function("psi"))
     rec = inv.recover_space_factor_and_oscillation(
-        snapshot, _trace_observation(s), s.function("r0"), n_max=int(s.param("n_max")),
+        snapshot, _trace_observation(s), s.function("r0"), n_max=s.param("n_max"),
         congruence_tol=s.param("tol_consistency"))
     results = {
         "envelope": rec.envelope,
@@ -528,16 +538,16 @@ def _run_inverse3(s: Scenario) -> tuple[dict, dict]:
 def _run_inverse4(s: Scenario) -> tuple[dict, dict]:
     alpha = s.function("alpha")
     obs = inv.MultiPointObservation(
-        t0=float(s.param("t0")),
-        half_width=float(s.param("delta")),
-        x_points=tuple(float(x) for x in s.param("x_points")),
+        t0=s.param("t0"),
+        half_width=s.param("delta"),
+        x_points=s.param("x_points"),
         leading=s.function("phi0"),
         oscillating=s.function("phi2"),
         interior_traces=alpha if isinstance(alpha, tuple) else (alpha,),
-        horizon=float(s.param("T")),
+        horizon=s.param("T"),
     )
     rec = inv.recover_both_factors(
-        obs, intervals=int(s.param("grid")),
+        obs, intervals=s.param("grid"),
         consistency_tol=s.param("tol_consistency"))
     results = {
         "snapshot_coeffs": rec.snapshot_coeffs,
@@ -624,7 +634,6 @@ def emit(report: RunReport, fmt: str, path: str) -> str:
     else:
         raise ScenarioError(f"unknown output format {fmt!r}")
     if path == "-":
-        import sys
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:

@@ -80,9 +80,9 @@ def build_kernel(envelope: SineSeries, x0: float, n_max: int = 32) -> Kernel:
 class VolterraProblem:
     """diagonal(t) l(t) + int_0^t K(t,s) l(s) ds = rhs(t) on [0, horizon]."""
 
-    diagonal: object  # SlowFunction | callable | ndarray
+    diagonal: object  # SlowFunction | samples on grid()
     kernel: Kernel
-    rhs: object       # SlowFunction | callable | ndarray
+    rhs: object       # SlowFunction | samples on grid()
     horizon: float
     intervals: int = 2048
 
@@ -93,13 +93,13 @@ class VolterraProblem:
 def _sample(obj, t: np.ndarray, what: str) -> np.ndarray:
     if isinstance(obj, SlowFunction):
         vals = obj(t)
-    elif callable(obj):
-        vals = np.asarray(obj(t), dtype=float)
-    else:
+    elif isinstance(obj, (np.ndarray, list, tuple)):
         vals = np.asarray(obj, dtype=float)
         if vals.shape != t.shape:
             raise ValueError(f"{what} samples have wrong length")
-    vals = np.broadcast_to(np.asarray(vals, dtype=float), t.shape).copy()
+    else:
+        raise TypeError(f"{what} must be a SlowFunction or samples, "
+                        f"got {type(obj).__name__}")
     if not np.all(np.isfinite(vals)):
         raise ValueError(f"non-finite {what} values")
     return vals

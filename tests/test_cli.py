@@ -3,10 +3,6 @@
 import hashlib
 import json
 import math
-import os
-import pathlib
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -41,9 +37,6 @@ BUILTIN_CSV_SHA256 = {
     "golden-convergence": "ac16549455f5a64f9e907dc366aedab4ddeba96f4a15ccf905d6c31bf5d472b1",
     "golden-forward": "f3b0fb2649f9a3abd3730022712c37b31c03f6642961a30512ff8ed47c6ab8be",
 }
-
-
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def write_scenario(tmp_path, payload, name="case.json"):
@@ -197,6 +190,29 @@ class TestParsing:
         assert "osckit: scenario error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("builtin, section, name, value, where", [
+        ("golden-forward", "params", "t_cout", 9, "unknown parameter 't_cout'"),
+        ("golden-forward", "functions", "r2", {"fast": []}, "unknown function 'r2'"),
+        ("golden-forward", "params", "emit_field", "no", "parameter 'emit_field'"),
+        ("golden-forward", "params", "emit_field", 0, "parameter 'emit_field'"),
+        ("golden-forward", "params", "omega", 10**400, "parameter 'omega'"),
+        ("golden", "params", "x_points", [1.0, 10**400],
+         "entry 1 of parameter 'x_points'"),
+        ("golden-convergence", "params", "omega_ladder", [10**400],
+         "entry 0 of parameter 'omega_ladder'"),
+        ("golden-forward", "functions", "r0", {"slow": [[10**400, 1, 0.0]]},
+         "coefficient of term 0 at r0"),
+    ], ids=["misspelt-parameter", "unknown-function", "emit-field-text",
+            "emit-field-zero", "huge-omega", "huge-x-point", "huge-ladder-rung",
+            "huge-coefficient"])
+    def test_unread_or_unconvertible_input_named(self, tmp_path, builtin, section,
+                                                 name, value, where):
+        payload = serialize_scenario(builtin_scenario(builtin))
+        payload[section][name] = value
+        with pytest.raises(ScenarioError, match=where):
+            parse_scenario(write_scenario(tmp_path, payload))
+
+
 class TestRun:
     def test_forward_zero_envelope_is_zero_field(self):
         payload = forward_payload()
@@ -331,6 +347,21 @@ class TestRun:
         for order in (1, 2):
             assert row[f"residual_order{order}"] == want[order - 1]
         assert row["residual_order1"] != asy.residual_norm(problem)[0]
+
+    def test_null_optional_point_gives_no_trace(self):
+        report = run(parse_scenario_dict(forward_payload(x0=None)))
+        assert "trace" not in report.results
+        assert report.results["sup_norm"] > 0.0
+
+    def test_null_grid_reads_default(self):
+        golden = serialize_scenario(builtin_scenario("golden"))
+        assert golden["params"]["grid"] == 2048
+        golden["params"]["grid"] = None
+        report = run(parse_scenario_dict(golden))
+        want = run(builtin_scenario("golden"))
+        assert np.array_equal(report.results["mean"]["values"],
+                              want.results["mean"]["values"])
+        assert report.results["envelope"] == want.results["envelope"]
 
     def test_inverse2_slow_snapshot_decay_warned(self):
         # psi_n = 1/n^2: n^4 psi_n grows fourfold from modes 1..8 to 9..16
@@ -500,20 +531,10 @@ class TestCommandLine:
         assert "osckit: scenario error: missing parameter 'omega'" \
             in capsys.readouterr().err
 
-    def test_thread_cap_subprocess(self, tmp_path):
-        script = (
-            "import os; os.environ['OSK_THREADS'] = '1'\n"
-            "from osckit.cli import main\n"
-            "assert os.environ['OPENBLAS_NUM_THREADS'] == '1'\n"
-            "assert os.environ['OMP_NUM_THREADS'] == '1'\n"
-            "raise SystemExit(main(['forward', '--scenario', 'golden-forward',"
-            " '--out', '-', '--format', 'csv']))\n"
-        )
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                            "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
-        env["PYTHONPATH"] = str(SRC)
-        proc = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("t,value")
+    def test_misspelt_parameter_is_scenario_error(self, tmp_path, capsys):
+        forward = serialize_scenario(builtin_scenario("golden-forward"))
+        forward["params"]["t_cout"] = 9
+        path = write_scenario(tmp_path, forward, "misspelt.json")
+        assert main(["forward", "--scenario", path, "--out", "-"]) == 1
+        assert "osckit: scenario error: unknown parameter 't_cout'" \
+            in capsys.readouterr().err

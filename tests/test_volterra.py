@@ -69,12 +69,12 @@ class TestSolve:
         sol = solve(problem)
         assert np.max(np.abs(sol.values - rhs(sol.axes[0]))) < 1e-14
 
-    def test_constant_kernel_callable_path(self):
-        # l + integral_0^t l = 1  =>  l(t) = e^-t; diagonal and rhs as callables
+    def test_constant_kernel(self):
+        # l + integral_0^t l = 1  =>  l(t) = e^-t
         problem = VolterraProblem(
-            diagonal=lambda t: np.ones_like(t),
+            diagonal=SlowFunction.constant(1.0),
             kernel=Kernel(((0, SlowFunction.constant(1.0)),)),
-            rhs=lambda t: np.ones_like(t),
+            rhs=SlowFunction.constant(1.0),
             horizon=2.0, intervals=1024)
         sol = solve(problem)
         assert np.max(np.abs(sol.values - np.exp(-sol.axes[0]))) < 1e-6
@@ -118,9 +118,17 @@ class TestSolve:
             solve(problem)
 
     def test_non_finite_rhs_rejected(self):
-        problem = replace(reference_problem(intervals=64),
-                          rhs=lambda t: np.where(t > 1.0, np.nan, t))
+        base = reference_problem(intervals=64)
+        t = base.grid()
+        problem = replace(base, rhs=np.where(t > 1.0, np.nan, t))
         with pytest.raises(ValueError, match="non-finite"):
+            solve(problem)
+
+    @pytest.mark.parametrize("field", ["diagonal", "rhs"])
+    def test_callable_data_rejected(self, field):
+        problem = replace(reference_problem(intervals=64),
+                          **{field: lambda t: np.ones_like(t)})
+        with pytest.raises(TypeError, match=field):
             solve(problem)
 
 
@@ -188,9 +196,9 @@ class TestConvergenceOrder:
 
     def test_ode_reducible_case_second_order(self):
         problem = VolterraProblem(
-            diagonal=lambda t: np.ones_like(t),
+            diagonal=SlowFunction.constant(1.0),
             kernel=Kernel(((0, SlowFunction.constant(1.0)),)),
-            rhs=lambda t: np.ones_like(t),
+            rhs=SlowFunction.constant(1.0),
             horizon=2.0, intervals=256)
         report = convergence_order(problem, (256, 512, 1024),
                                    lambda t: np.exp(-t))
