@@ -44,7 +44,12 @@ __all__ = [
 ]
 
 POINTS_PER_PERIOD = 16
-MAX_TIME_NODES = 200_001
+# Node counts of residual_norm's time blocks and synthesis slices.  Blocks
+# are larger because each costs one exp_kernel_moment call per (mode,
+# harmonic, term); a slice is sized for its (x_count, slice) product to stay
+# in cache.
+TIME_BLOCK = 8192
+SYNTHESIS_SLICE = 1024
 
 
 @dataclass(frozen=True)
@@ -192,33 +197,35 @@ def residual_norm(problem: HeatProblem, x_count: int = 65) -> tuple[float, float
     """Sups of ``|u - u0|`` and ``|u - u0 - (u1 + v1)/omega|`` on a resolving grid.
 
     The grid has ``resolving_time_count`` times, POINTS_PER_PERIOD per fast
-    period so oscillation peaks enter the sup, and at most MAX_TIME_NODES.
-    Both orders come from one pass of oscillatory amplitudes (u - u0, mode
-    by mode); order 2 subtracts the corrections from those rows.
+    period so oscillation peaks enter the sup.  It is walked in blocks of
+    TIME_BLOCK nodes: each block's oscillatory amplitudes (u - u0, mode by
+    mode) serve both orders, order 2 subtracts the corrections from those
+    rows, and the synthesis is reduced to its max SYNTHESIS_SLICE columns at
+    a time.  Every value is element-wise, so the max over blocks is the max
+    over the whole grid, bit for bit; the cost is linear in omega and the
+    memory is 8 bytes per time node plus one block.
     """
-    t_count = resolving_time_count(problem.omega, problem.horizon)
-    if t_count > MAX_TIME_NODES:
-        raise ValueError(
-            f"omega * T = {problem.omega * problem.horizon:g} needs {t_count} time "
-            f"nodes to resolve the fast phase, above MAX_TIME_NODES = {MAX_TIME_NODES}"
-        )
     if x_count < 2:
         raise ValueError("grid counts must be >= 2")
     expansion = TwoTermExpansion.for_problem(problem)
     omega, own = problem.omega, problem.active_modes
-    t = np.linspace(0.0, problem.horizon, t_count)
-    first = dict(zip(own, oscillatory_amplitudes(problem, own, t)))
-    second = dict(first)  # rows are replaced, never updated in place
-    for n in expansion.layer.modes:
-        second[n] = second[n] - expansion.layer.mode_amplitude(n, t) / omega
-    profile = expansion.fast.profile(t, omega * t)
-    for n, coeff in expansion.fast.envelope.modes.items():  # all modes, even > n_max
-        second[n] = second.get(n, 0.0) - coeff(t) * profile / omega
+    t_all = np.linspace(0.0, problem.horizon,
+                        resolving_time_count(omega, problem.horizon))
     x = np.linspace(0.0, math.pi, x_count)
-
-    def sup(rows: dict) -> float:
-        modes = sorted(rows)
-        grid = np.reshape([rows[n] for n in modes], (-1, t.size))
-        return float(np.max(np.abs(sine_synthesis(x, modes, grid))))
-
-    return sup(first), sup(second)
+    sups = ([], [])
+    for start in range(0, t_all.size, TIME_BLOCK):
+        t = t_all[start:start + TIME_BLOCK]
+        first = dict(zip(own, oscillatory_amplitudes(problem, own, t)))
+        second = dict(first)  # rows are replaced, never updated in place
+        for n in expansion.layer.modes:
+            second[n] = second[n] - expansion.layer.mode_amplitude(n, t) / omega
+        profile = expansion.fast.profile(t, omega * t)
+        for n, coeff in expansion.fast.envelope.modes.items():  # all modes, even > n_max
+            second[n] = second.get(n, 0.0) - coeff(t) * profile / omega
+        for rows, out in zip((first, second), sups):
+            modes = sorted(rows)
+            grid = np.reshape([rows[n] for n in modes], (-1, t.size))
+            for col in range(0, t.size, SYNTHESIS_SLICE):
+                part = sine_synthesis(x, modes, grid[:, col:col + SYNTHESIS_SLICE])
+                out.append(np.max(np.abs(part)))
+    return float(np.max(sups[0])), float(np.max(sups[1]))

@@ -113,21 +113,31 @@ PARAMS = {
     "tol_consistency": (_finite, _at_least(0), None),
 }
 
-# kind -> (required parameters, required functions)
-REQUIRED = {
-    "forward": ({"omega", "T"}, {"f", "r0"}),
-    "asymptotics": ({"omega", "T"}, {"f", "r0"}),
-    "convergence": ({"omega_ladder", "T"}, {"f", "r0"}),
-    "inverse1": ({"x0", "T"}, {"f", "phi0", "phi2"}),
-    "inverse2": ({"t0"}, {"r0", "psi"}),
-    "inverse3": ({"x0", "t0", "T"}, {"r0", "psi", "phi0", "phi2"}),
-    "inverse4": ({"t0", "delta", "x_points", "T"}, {"phi0", "phi2", "alpha"}),
+
+def _reads(required: str, optional: str = "") -> dict:
+    """Space-separated names, each mapped to whether it is required."""
+    return dict.fromkeys(required.split(), True) | dict.fromkeys(optional.split(), False)
+
+
+# kind -> (parameters, functions) that its runner reads, each name mapped to
+# whether it is required.  A kind rejects every other name, so a report
+# never echoes a setting that did not run.
+READS = {
+    "forward": (_reads("omega T", "n_max x_count t_count x0 emit_field"),
+                _reads("f r0", "r1")),
+    "asymptotics": (_reads("omega T", "n_max x_count"), _reads("f r0", "r1")),
+    "convergence": (_reads("omega_ladder T", "n_max x_count"), _reads("f r0", "r1")),
+    "inverse1": (_reads("x0 T", "n_max grid"), _reads("f phi0 phi2")),
+    "inverse2": (_reads("t0", "n_max tol_lambda tol_coeff"), _reads("r0 psi")),
+    "inverse3": (_reads("x0 t0 T", "n_max tol_consistency"), _reads("r0 psi phi0 phi2")),
+    "inverse4": (_reads("t0 delta x_points T", "grid tol_consistency"),
+                 _reads("phi0 phi2 alpha")),
 }
-KINDS = tuple(REQUIRED)
+KINDS = tuple(READS)
 
 # The optional functions: ``r1`` zero, ``alpha`` none (a single point).
 FUNCTION_DEFAULTS = {"r1": FastProfile.zero(), "alpha": ()}
-FUNCTIONS = set(FUNCTION_DEFAULTS).union(*(funcs for _, funcs in REQUIRED.values()))
+FUNCTIONS = set().union(*(funcs for _, funcs in READS.values()))
 
 
 @dataclass(frozen=True)
@@ -137,34 +147,42 @@ class Scenario:
     functions: dict
 
     def __post_init__(self):
-        for what, given, known in (("parameter", self.params, PARAMS),
-                                   ("function", self.functions, FUNCTIONS)):
-            unknown = sorted(set(given) - set(known))
-            if unknown:
-                raise ScenarioError(f"unknown {what} {unknown[0]!r}; known: "
-                                    f"{', '.join(sorted(known))}")
-        p = {name: self.param(name) for name in PARAMS}
-        if None not in (p["t0"], p["T"]) and p["t0"] > p["T"]:
+        if self.kind not in KINDS:
+            raise ScenarioError(f"unknown kind {self.kind!r}; expected one of {KINDS}")
+        for what, given, known, reads in zip(("parameter", "function"),
+                                             (self.params, self.functions),
+                                             (PARAMS, FUNCTIONS), READS[self.kind]):
+            for name in sorted(given):
+                if name not in known:
+                    raise ScenarioError(f"unknown {what} {name!r}; known: "
+                                        f"{', '.join(sorted(known))}")
+                if name not in reads:
+                    raise ScenarioError(f"{what} {name!r} is not read by kind "
+                                        f"{self.kind!r}, which reads: "
+                                        f"{', '.join(sorted(reads))}")
+        p = {name: self.param(name) for name in READS[self.kind][0]}
+        if None not in (p.get("t0"), p.get("T")) and p["t0"] > p["T"]:
             raise ScenarioError("parameter 't0' must not exceed 'T'")
-        if p["x_points"] is not None and len(set(p["x_points"])) != len(p["x_points"]):
+        if p.get("x_points") is not None and len(set(p["x_points"])) != len(p["x_points"]):
             raise ScenarioError("parameter 'x_points' entries must be distinct")
         # The two-term expansion averages over fast periods; with less than
         # one on [0, T] the source does not oscillate and its residuals mean
         # nothing.  The forward solve is exact at any omega.
-        expansion_omegas = {"asymptotics": (p["omega"],),
-                            "convergence": p["omega_ladder"]}.get(self.kind, ())
+        expansion_omegas = {"asymptotics": (p.get("omega"),),
+                            "convergence": p.get("omega_ladder")}.get(self.kind, ())
         for omega in expansion_omegas:
             if omega * p["T"] < 2.0 * math.pi:
                 raise ScenarioError(f"omega {omega!r} completes less than one period "
                                     f"on [0, T] (omega * T < 2*pi) for kind {self.kind!r}")
 
     def param(self, name: str):
-        """The checked, typed value of a parameter, or its default."""
+        """The checked, typed value of a parameter the kind reads, or its default."""
+        required = READS[self.kind][0][name]
         rule, bound, default = PARAMS[name]
         value = self.params.get(name)
         if value is not None:
             return rule(value, f"parameter {name!r}", bound)
-        if name in REQUIRED[self.kind][0]:
+        if required:
             raise ScenarioError(f"missing parameter {name!r} for kind {self.kind!r}")
         return default
 
@@ -282,8 +300,8 @@ def parse_scenario_dict(data: dict) -> Scenario:
     for section, table in (("params", params), ("functions", raw_functions)):
         if not isinstance(table, dict):
             raise ScenarioError(f"{section!r} must be a JSON object, got {table!r}")
-    for name in sorted(REQUIRED[kind][1]):
-        if name not in raw_functions or raw_functions[name] is None:
+    for name, required in sorted(READS[kind][1].items()):
+        if required and raw_functions.get(name) is None:
             raise ScenarioError(f"missing function {name!r} for kind {kind!r}")
     functions = {name: _payload_to_function(payload, name)
                  for name, payload in raw_functions.items()}

@@ -9,7 +9,9 @@ expansion's grid values, independent of the library's single synthesis
 product and its mode-by-mode remainder.
 
 The separable Volterra march is kept in its per-step form, one node at a
-time, as the reference for the blocked solver.
+time, as the reference for the blocked solver, and the two-term remainder
+norm in its one-shot form, the whole resolving grid in one synthesis, as the
+reference for the blocked ``residual_norm``.
 
 The last helpers are conveniences over library paths that only the tests
 need: one mode's amplitude, a rate shift, a resolvent built from a Volterra
@@ -22,9 +24,9 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from osckit.asymptotics import resolving_time_count
+from osckit.asymptotics import TwoTermExpansion, resolving_time_count
 from osckit.catalog import GridFunction, SlowFunction, sine_coefficients, sine_synthesis
-from osckit.forward import mode_amplitudes, solve_heat
+from osckit.forward import mode_amplitudes, oscillatory_amplitudes, solve_heat
 from osckit.inverse import SnapshotObservation
 from osckit.volterra import (
     DENOMINATOR_FLOOR,
@@ -116,6 +118,28 @@ def grid_remainder(problem, expansion, order: int, x_count: int = 65,
     x, t = u.axes
     approx = expansion.evaluate_grid(x, t, problem.omega, order=order)
     return float(np.max(np.abs(u.values - approx)))
+
+
+def residual_norm_one_shot(problem, x_count: int = 65) -> tuple[float, float]:
+    """``residual_norm`` with the whole resolving grid in one synthesis."""
+    expansion = TwoTermExpansion.for_problem(problem)
+    omega, own = problem.omega, problem.active_modes
+    t = np.linspace(0.0, problem.horizon, resolving_time_count(omega, problem.horizon))
+    first = dict(zip(own, oscillatory_amplitudes(problem, own, t)))
+    second = dict(first)  # rows are replaced, never updated in place
+    for n in expansion.layer.modes:
+        second[n] = second[n] - expansion.layer.mode_amplitude(n, t) / omega
+    profile = expansion.fast.profile(t, omega * t)
+    for n, coeff in expansion.fast.envelope.modes.items():  # all modes, even > n_max
+        second[n] = second.get(n, 0.0) - coeff(t) * profile / omega
+    x = np.linspace(0.0, math.pi, x_count)
+
+    def sup(rows: dict) -> float:
+        modes = sorted(rows)
+        grid = np.reshape([rows[n] for n in modes], (-1, t.size))
+        return float(np.max(np.abs(sine_synthesis(x, modes, grid))))
+
+    return sup(first), sup(second)
 
 
 def compose(expansion, omega: float, x_count: int, t_count: int, horizon: float):

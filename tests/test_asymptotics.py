@@ -1,6 +1,7 @@
 """Two-term expansion: component formulas, structural identities, orders."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,12 +25,14 @@ from osckit.catalog import (
     SourceFactor,
 )
 from osckit.forward import HeatProblem
+from osckit.scenarios import builtin_scenario
 
 from _oracles import (
     central_derivative,
     compose,
     grid_remainder,
     outer_sum,
+    residual_norm_one_shot,
     time_derivative_grid,
     xx_derivative_grid,
 )
@@ -222,15 +225,88 @@ class TestResidualNorm:
     def test_resolving_count_scales_with_omega(self):
         assert resolving_time_count(2.0 * math.pi * 100.0, 1.0) >= 1601
 
-    def test_unresolvable_omega_rejected_before_any_work(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(asymptotics, "oscillatory_amplitudes",
-                            lambda *a: calls.append("amplitudes"))
-        monkeypatch.setattr(catalog, "exp_kernel_moment",
-                            lambda *a: calls.append("moment"))
-        with pytest.raises(ValueError, match="MAX_TIME_NODES"):
-            residual_norm(reference_problem(1e6))
-        assert calls == []
+    @staticmethod
+    def traced(omega):
+        """``residual_norm`` at order 2 and its tracemalloc peak in bytes."""
+        problem = reference_problem(omega)
+        tracemalloc.start()
+        try:
+            r2 = residual_norm(problem)[1]
+            return r2, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_memory_flat_in_omega(self):
+        # omega * T = 2e5 needs about 509k time nodes; only the 8-byte time
+        # axis grows with them
+        assert resolving_time_count(2e5, 1.0) > 500_000
+        _, peak_low = self.traced(2e4)
+        _, peak_high = self.traced(2e5)
+        assert peak_high - peak_low < 8e6
+
+    def test_remainder_scaled_by_omega_squared_settles(self):
+        reference = residual_norm(reference_problem(1e4))[1] * 1e4 ** 2
+        r2, _ = self.traced(2e5)
+        assert abs(r2 * 2e5 ** 2 / reference - 1.0) < 0.01
+
+
+def ladder_problem(omega, seed=13):
+    """Shaped like the benchmark's ladder: 4 modes, a two-term mean, 2 harmonics."""
+    rng = np.random.default_rng(seed)
+
+    def term(lo, hi, power=0, scale=1.0):
+        coeff = scale * float(rng.uniform(lo, hi))
+        return SlowFunction([(coeff, power, float(rng.uniform(-0.5, 0.0)))])
+
+    envelope = SineSeries({n: term(0.5, 1.0, scale=1.0 / n ** 2) for n in range(1, 5)})
+    mean = SlowFunction.constant(float(rng.uniform(0.5, 1.5))) + term(-1.0, 1.0, 1)
+    oscillation = FastProfile([(k, term(-1.0, 1.0), term(-1.0, 1.0)) for k in (1, 2)])
+    return HeatProblem(envelope, SourceFactor(mean, oscillation), omega, 1.0)
+
+
+def omega_for_count(count, horizon=1.0):
+    """An omega whose resolving grid on [0, horizon] has ``count`` nodes."""
+    return 2.0 * math.pi * (count - 1.5) / (asymptotics.POINTS_PER_PERIOD * horizon)
+
+
+class TestBlockedResidualNorm:
+    """The blocked walk against the one-shot synthesis, bit for bit."""
+
+    @pytest.mark.parametrize("omega", [64.0, 128.0, 256.0, 512.0, 1e4])
+    def test_golden_convergence_problems(self, omega):
+        f = builtin_scenario("golden-convergence").functions
+        problem = HeatProblem(f["f"], SourceFactor(f["r0"], f["r1"]), omega, 1.0)
+        assert residual_norm(problem) == residual_norm_one_shot(problem)
+
+    @pytest.mark.parametrize("omega", [2500.0, 5000.0, 10000.0])
+    def test_ladder_shaped_problem(self, omega):
+        problem = ladder_problem(omega)
+        assert residual_norm(problem) == residual_norm_one_shot(problem)
+
+    @pytest.mark.parametrize("offset, blocks", [(-1, 1), (0, 1), (1, 1), (1, 2)])
+    def test_counts_on_block_boundaries(self, offset, blocks):
+        count = blocks * asymptotics.TIME_BLOCK + offset
+        problem = ladder_problem(omega_for_count(count))
+        assert resolving_time_count(problem.omega, problem.horizon) == count
+        for x_count in (17, 65):
+            want = residual_norm_one_shot(problem, x_count)
+            assert residual_norm(problem, x_count) == want
+
+    @pytest.mark.parametrize("offset, blocks", [(-1, 1), (1, 1), (1, 2)])
+    def test_every_node_synthesized_once_in_bounded_slices(self, offset, blocks,
+                                                           monkeypatch):
+        count = blocks * asymptotics.TIME_BLOCK + offset
+        widths = []
+        synthesis = asymptotics.sine_synthesis
+
+        def recorded(x, modes, amplitudes):
+            widths.append(amplitudes.shape[1])
+            return synthesis(x, modes, amplitudes)
+
+        monkeypatch.setattr(asymptotics, "sine_synthesis", recorded)
+        residual_norm(ladder_problem(omega_for_count(count)))
+        assert sum(widths) == 2 * count  # both orders
+        assert max(widths) == asymptotics.SYNTHESIS_SLICE
 
 
 def rich_problem(omega, n_max=32):

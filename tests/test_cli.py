@@ -12,6 +12,7 @@ from osckit.catalog import SlowFunction, SourceFactor, duhamel_weight
 from osckit.cli import main
 from osckit.forward import HeatProblem
 from osckit.scenarios import (
+    Scenario,
     ScenarioError,
     builtin_names,
     builtin_scenario,
@@ -56,6 +57,16 @@ def inverse2_payload(psi, **params):
     }
 
 
+def snapshot_payload(**params):
+    return inverse2_payload({1: 1.0, 2: 0.5}, **params)
+
+
+def golden_payload(**params):
+    payload = serialize_scenario(builtin_scenario("golden"))
+    payload["params"].update(params)
+    return payload
+
+
 def forward_payload(**params):
     base = {
         "kind": "forward",
@@ -69,6 +80,16 @@ def forward_payload(**params):
     }
     base["params"].update(params)
     return base
+
+
+def asymptotics_payload(**params):
+    """``forward_payload`` as an asymptotics scenario, without the forward-only
+    ``x0`` and ``t_count``."""
+    payload = forward_payload(**params)
+    payload["kind"] = "asymptotics"
+    for name in ("x0", "t_count"):
+        del payload["params"][name]
+    return payload
 
 
 class TestParsing:
@@ -132,15 +153,43 @@ class TestParsing:
         ("tol_lambda", -1e-12), ("tol_coeff", -1.0), ("tol_consistency", -1e-3),
     ])
     def test_invalid_parameter_named(self, name, value):
-        payload = forward_payload(**{name: value})
-        with pytest.raises(ScenarioError, match=name):
+        # each case on a kind that reads the parameter
+        reader = {"grid": golden_payload, "tol_consistency": golden_payload,
+                  "tol_lambda": snapshot_payload, "tol_coeff": snapshot_payload}
+        payload = reader.get(name, forward_payload)(**{name: value})
+        with pytest.raises(ScenarioError, match=f"parameter '{name}' must be"):
             parse_scenario_dict(payload)
+
+    @pytest.mark.parametrize("builtin, name, value", [
+        ("golden-forward", "grid", 4096),
+        ("golden-forward", "tol_consistency", 1e-3),
+        ("golden-convergence", "t_count", 1025),
+        ("golden", "n_max", 8),
+        ("golden", "x0", 1.0),
+    ])
+    def test_unread_parameter_names_parameter_and_kind(self, builtin, name, value):
+        payload = serialize_scenario(builtin_scenario(builtin))
+        payload["params"][name] = value
+        with pytest.raises(ScenarioError, match=f"parameter '{name}' is not read by "
+                                                f"kind '{payload['kind']}'"):
+            parse_scenario_dict(payload)
+
+    def test_unread_function_names_function_and_kind(self):
+        payload = snapshot_payload()
+        payload["functions"]["r1"] = {"fast": [{"k": 1, "sin": [[1.0, 0, 0.0]]}]}
+        with pytest.raises(ScenarioError, match="function 'r1' is not read by kind "
+                                                "'inverse2'"):
+            parse_scenario_dict(payload)
+
+    def test_unknown_kind_in_python_is_scenario_error(self):
+        with pytest.raises(ScenarioError, match="unknown kind 'banana'; expected one "
+                                                "of \\('forward'"):
+            Scenario("banana", {}, {})
 
     def test_expansion_kinds_need_one_fast_period(self):
         payload = forward_payload(omega=3.0, T=2.0)  # omega * T = 6 < 2 pi
         assert parse_scenario_dict(payload).kind == "forward"
-        payload["kind"] = "asymptotics"
-        del payload["params"]["x0"]
+        payload = asymptotics_payload(omega=3.0, T=2.0)
         with pytest.raises(ScenarioError, match="omega"):
             parse_scenario_dict(payload)
         payload["params"]["T"] = 2.1  # omega * T = 6.3 > 2 pi
@@ -266,9 +315,7 @@ class TestRun:
         assert len(report.results["ladder"]) == 3
 
     def test_asymptotics_kind_reports_residuals(self):
-        payload = forward_payload(omega=128.0, x_count=33)
-        payload["kind"] = "asymptotics"
-        del payload["params"]["x0"]
+        payload = asymptotics_payload(omega=128.0, x_count=33)
         report = run(parse_scenario_dict(payload))
         cols = {"omega", "residual_order1", "residual_order2",
                 "omega_times_residual2", "matching_defect"}
@@ -486,6 +533,29 @@ class TestCommandLine:
                      "--out", str(out)])
         assert code == 0
         assert len(out.read_text().strip().splitlines()) == 3
+
+    def test_three_decade_ladder(self, tmp_path):
+        out = tmp_path / "decades.json"
+        code = main(["convergence", "--scenario", "golden-convergence",
+                     "--omega-ladder", "1e3,1e4,1e5", "--out", str(out)])
+        assert code == 0
+        rows = json.loads(out.read_text())["results"]["ladder"]
+        assert [row["omega"] for row in rows] == [1e3, 1e4, 1e5]
+        for row in rows:
+            assert row["residual_order2"] < row["residual_order1"]
+        scaled = [row["omega_times_residual2"] for row in rows]
+        assert scaled[0] > scaled[1] > scaled[2]
+
+    @pytest.mark.parametrize("kind, scenario, flag, name", [
+        ("forward", "golden-forward", "--grid", "grid"),
+        ("inverse4", "golden", "--modes", "n_max"),
+        ("inverse4", "golden", "--omega-ladder", "omega_ladder"),
+    ])
+    def test_unread_override_is_scenario_error(self, kind, scenario, flag, name,
+                                               capsys):
+        assert main([kind, "--scenario", scenario, flag, "64", "--out", "-"]) == 1
+        assert f"osckit: scenario error: parameter '{name}' is not read by kind " \
+            f"'{kind}'" in capsys.readouterr().err
 
     def test_fractional_grid_in_file_is_scenario_error(self, tmp_path, capsys):
         golden = serialize_scenario(builtin_scenario("golden"))
