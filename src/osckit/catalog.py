@@ -39,6 +39,11 @@ __all__ = [
 ]
 
 SERIES_HORIZON = 4.0  # symbolic series regime: |rate + decay| <= 1/4
+# Power-series terms per moment.  Numeric (|lam| t <= 1): term p is at most
+# 1/p! of the integral, and 1/20! ~ 4e-19 is below half an ulp.  Symbolic:
+# 40 terms keep about 1e-13 of the integral's size up to |lam| t = 4.
+NUMERIC_TERMS = 20
+SYMBOLIC_TERMS = 40
 
 
 class CatalogError(ValueError):
@@ -521,22 +526,22 @@ class SampledSeries:
 
 def _series_regime(lam, t):
     """Where ``int_0^t s^m e^{lam s} ds`` is summed as a power series, not by parts."""
-    return np.abs(lam) * np.abs(t) <= 1.0
+    return abs(lam) * np.abs(t) <= 1.0
 
 
-def _moment_terms(power: int, lam, series: bool):
+def _moment_terms(power: int, lam, series: bool, count: int):
     """Terms ``(a, k, b, grows)`` of ``int_0^t s^power e^{lam s} ds``.
 
     The integral is ``sum a t^k / b``, times ``e^{lam t}`` where ``grows``.
-    In the series regime these are the power series' first 40 terms (good
-    to about 1e-13 of the integral's size while ``|lam| t <= 4``); otherwise
-    they come from integration by parts, for real or complex ``lam != 0``,
-    whose coefficients ``1/lam^(j+1)`` cancel where ``|lam| t`` is small.
+    In the series regime these are the power series' first ``count`` terms;
+    otherwise they come from integration by parts (``count`` unused), for
+    real or complex ``lam != 0``, whose coefficients ``1/lam^(j+1)`` cancel
+    where ``|lam| t`` is small.
     """
     out = []
     if series:
         a = lam ** 0  # lam^p / p!, complex when lam is
-        for p in range(40):
+        for p in range(count):
             out.append((a, power + p + 1, power + p + 1, False))
             a *= lam / (p + 1)
         return out
@@ -554,44 +559,72 @@ def _duhamel_symbolic(g: SlowFunction, decay: float) -> SlowFunction:
     out = []
     for c, m, rate in g.terms:
         lam = rate + decay
+        series = _series_regime(lam, SERIES_HORIZON)
         out += [(c * a / b, k, rate if grows else rest) for a, k, b, grows
-                in _moment_terms(m, lam, _series_regime(lam, SERIES_HORIZON))]
+                in _moment_terms(m, lam, series, SYMBOLIC_TERMS)]
     return SlowFunction(out)
 
 
-def exp_kernel_moment(power: int, rate: complex, decay: complex, t) -> np.ndarray:
+def _decay_exponential(decay, t) -> np.ndarray:
+    """``e^{-decay t}`` as the moments use it: complex, also for real ``decay``."""
+    return np.exp(-complex(decay) * np.asarray(t, dtype=float))
+
+
+def _series_sum(power: int, lam: complex, ts: np.ndarray) -> np.ndarray:
+    """``int_0^t s^power e^{lam s} ds`` at nodes ``ts`` of the series regime.
+
+    The ``NUMERIC_TERMS`` terms are one ``(terms, nodes)`` array, added in
+    term order by ``cumsum`` (``sum(axis=0)`` may add them in another
+    order).  The ``t^2`` row is ``ts * ts``, which is what ``ts ** 2``
+    computes; ``np.power`` with an array exponent rounds it differently.
+    """
+    a, k, b, _ = zip(*_moment_terms(power, lam, True, NUMERIC_TERMS))
+    rows = ts ** np.array(k, dtype=float)[:, None]
+    if power <= 1:
+        rows[1 - power] = ts * ts
+    terms = np.array(a)[:, None] * rows / np.array(b, dtype=complex)[:, None]
+    return np.cumsum(terms, axis=0)[-1]
+
+
+def exp_kernel_moment(power: int, rate: complex, decay: complex, t, *,
+                      e_decay=None) -> np.ndarray:
     """``integral_0^t e^{-decay (t-s)} s^power e^{rate s} ds``.
 
     Complex-safe and vectorized in t.  Large ``decay`` never enters a bare
     exponential (only ``e^{rate t}`` and ``e^{-decay t}`` appear), and a
     power series takes over where ``0 < |rate + decay| * t <= 1`` so the
     near-resonant regime loses no digits to cancellation.  At ``t = 0`` the
-    integral is exactly ``0j`` and no terms are summed.
+    integral is exactly ``0j`` and no terms are summed.  ``e_decay``, if
+    given, must be ``np.exp(-complex(decay) * t)``; callers taking several
+    moments of one decay pass it to form it once.
     """
     arr = np.asarray(t, dtype=float)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
     lam = complex(rate) + complex(decay)
-    out = np.zeros(arr.shape, dtype=complex)
+    e_decay = np.atleast_1d(_decay_exponential(decay, arr) if e_decay is None else e_decay)
 
-    # t = 0 stays +0j; it must not fall to the by-parts branch below, whose
-    # terms cancel there only to rounding.
+    # By parts on the whole axis, then the series nodes and t = 0 (exactly
+    # +0j) overwrite it there; by parts is skipped when no node needs it,
+    # as at resonance, where its 1/lam^(j+1) would divide by zero.
     series = _series_regime(lam, arr)
+    if np.count_nonzero(series) == arr.size:
+        out = np.zeros(arr.shape, dtype=complex)
+    else:
+        *parts, (c, _, d, _), (a0, _, b0, _) = _moment_terms(power, lam, False, NUMERIC_TERMS)
+        # the t^0 term is one constant and x ** 1 is x, so np.power runs
+        # for t^2 and up only; order and numpy loops are those of summing
+        # a * t ** k / b over every term, so the bits are the same
+        poly = sum(a * (arr if k == 1 else arr ** k) / b for a, k, b, _ in parts)
+        poly = poly + c / np.complex128(d)
+        # e_rate is named: numpy would multiply into a temporary exponential
+        # in place, whose complex loop rounds differently on long arrays
+        e_rate = np.exp(complex(rate) * arr)
+        out = poly * e_rate + a0 / b0 * e_decay
+        out[series] = 0j
     small = series & (arr != 0.0)
-    if small.any():
-        ts = arr[small]
-        acc = sum(a * ts ** k / b for a, k, b, _ in _moment_terms(power, lam, True))
-        out[small] = np.exp(-complex(decay) * ts) * acc
-
-    big = ~series
-    if big.any():
-        tb = arr[big]
-        e_rate = np.exp(complex(rate) * tb)
-        e_decay = np.exp(-complex(decay) * tb)
-        *parts, (a0, _, b0, _) = _moment_terms(power, lam, False)
-        poly = sum(a * tb ** k / b for a, k, b, _ in parts)
-        out[big] = poly * e_rate + a0 / b0 * e_decay
-
+    if np.count_nonzero(small):
+        out[small] = e_decay[small] * _series_sum(power, lam, arr[small])
     return out[0] if scalar else out
 
 
@@ -607,18 +640,21 @@ def duhamel_oscillatory(n: int, g, frequency: float, t):
     Real part gives the cos-modulated integral, imaginary part the
     sin-modulated one.  ``g`` may also be a tuple of SlowFunctions under the
     same modulation; the result is then the tuple of their integrals, and a
-    (power, rate) term they share has its moment computed once.
+    (power, rate) term they share has its moment computed once.  All
+    moments of one call share one ``e^{-n^2 t}``.
     """
     n2 = float(n) * float(n)
     arr = np.asarray(t, dtype=float)
     single = isinstance(g, SlowFunction)
+    e_decay = _decay_exponential(n2, arr)
     moments = {}
     outs = []
     for part in (g,) if single else g:
         out = np.zeros(arr.shape, dtype=complex)
         for c, m, rate in part.terms:
             if (m, rate) not in moments:
-                moments[m, rate] = exp_kernel_moment(m, rate + 1j * frequency, n2, arr)
+                moments[m, rate] = exp_kernel_moment(m, rate + 1j * frequency, n2, arr,
+                                                     e_decay=e_decay)
             out = out + c * moments[m, rate]
         outs.append(out)
     return outs[0] if single else tuple(outs)

@@ -11,7 +11,9 @@ product and its mode-by-mode remainder.
 The separable Volterra march is kept in its per-step form, one node at a
 time, as the reference for the blocked solver, and the two-term remainder
 norm in its one-shot form, the whole resolving grid in one synthesis, as the
-reference for the blocked ``residual_norm``.
+reference for the blocked ``residual_norm``; the exponential moment keeps its
+40-term series and its gather/scatter branches, one bool mask per regime, as
+the reference for ``catalog.exp_kernel_moment``.
 
 The last helpers are conveniences over library paths that only the tests
 need: one mode's amplitude, a rate shift, a resolvent built from a Volterra
@@ -140,6 +142,50 @@ def residual_norm_one_shot(problem, x_count: int = 65) -> tuple[float, float]:
         return float(np.max(np.abs(sine_synthesis(x, modes, grid))))
 
     return sup(first), sup(second)
+
+
+def _moment_terms_40(power: int, lam, series: bool):
+    """``catalog._moment_terms`` with the series cut at 40 terms."""
+    out = []
+    if series:
+        a = lam ** 0  # lam^p / p!, complex when lam is
+        for p in range(40):
+            out.append((a, power + p + 1, power + p + 1, False))
+            a *= lam / (p + 1)
+        return out
+    fr = 1.0  # power!/(power-j)!
+    for j in range(power + 1):
+        out.append(((-1.0) ** j * fr, power - j, lam ** (j + 1), True))
+        fr *= power - j
+    a, _, b, _ = out[-1]
+    return out + [(-a, 0, b, False)]
+
+
+def exp_kernel_moment_40(power: int, rate: complex, decay: complex, t) -> np.ndarray:
+    """``integral_0^t e^{-decay (t-s)} s^power e^{rate s} ds``, 40-term series."""
+    arr = np.asarray(t, dtype=float)
+    scalar = arr.ndim == 0
+    arr = np.atleast_1d(arr)
+    lam = complex(rate) + complex(decay)
+    out = np.zeros(arr.shape, dtype=complex)
+
+    series = np.abs(lam) * np.abs(arr) <= 1.0
+    small = series & (arr != 0.0)
+    if small.any():
+        ts = arr[small]
+        acc = sum(a * ts ** k / b for a, k, b, _ in _moment_terms_40(power, lam, True))
+        out[small] = np.exp(-complex(decay) * ts) * acc
+
+    big = ~series
+    if big.any():
+        tb = arr[big]
+        e_rate = np.exp(complex(rate) * tb)
+        e_decay = np.exp(-complex(decay) * tb)
+        *parts, (a0, _, b0, _) = _moment_terms_40(power, lam, False)
+        poly = sum(a * tb ** k / b for a, k, b, _ in parts)
+        out[big] = poly * e_rate + a0 / b0 * e_decay
+
+    return out[0] if scalar else out
 
 
 def compose(expansion, omega: float, x_count: int, t_count: int, horizon: float):

@@ -358,9 +358,9 @@ class TestModalRemainder:
         calls = []
         moment = catalog.exp_kernel_moment
 
-        def counted(power, rate, decay, t):
+        def counted(power, rate, decay, t, **shared):
             calls.append((power, rate, decay))
-            return moment(power, rate, decay, t)
+            return moment(power, rate, decay, t, **shared)
 
         monkeypatch.setattr(catalog, "exp_kernel_moment", counted)
         residual_norm(problem)

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,13 @@ from osckit.catalog import (
     sine_synthesis,
 )
 
-from _oracles import adaptive_integral, central_derivative, fast_mean, times_exp
+from _oracles import (
+    adaptive_integral,
+    central_derivative,
+    exp_kernel_moment_40,
+    fast_mean,
+    times_exp,
+)
 
 RNG = np.random.default_rng(20240817)
 
@@ -366,11 +373,16 @@ class TestDuhamel:
         singles = [duhamel_oscillatory(3, g, 40.0, t) for g in (cos, sin)]
         calls = []
         moment = catalog.exp_kernel_moment
-        monkeypatch.setattr(catalog, "exp_kernel_moment",
-                            lambda *args: calls.append(args[:3]) or moment(*args))
+        monkeypatch.setattr(catalog, "exp_kernel_moment", lambda *args, **shared:
+                            calls.append(args[:3]) or moment(*args, **shared))
+        decays = []
+        decay = catalog._decay_exponential
+        monkeypatch.setattr(catalog, "_decay_exponential",
+                            lambda *args: decays.append(args) or decay(*args))
         pair = duhamel_oscillatory(3, (cos, sin), 40.0, t)
         assert len(calls) == 3  # (0, 0.0) is shared
         assert all(np.array_equal(p, q) for p, q in zip(pair, singles))
+        assert len(decays) == 1  # one e^{-n^2 t} serves all three moments
 
 
 class TestExpKernelMomentZeroNode:
@@ -382,9 +394,9 @@ class TestExpKernelMomentZeroNode:
         requested = []
         terms = catalog._moment_terms
 
-        def recorded(power, lam, series):
+        def recorded(power, lam, series, count):
             requested.append(series)
-            return terms(power, lam, series)
+            return terms(power, lam, series, count)
 
         monkeypatch.setattr(catalog, "_moment_terms", recorded)
         for power in (0, 1, 3):
@@ -407,6 +419,30 @@ class TestExpKernelMomentZeroNode:
         full = exp_kernel_moment(1, rate, decay, t)
         rest = exp_kernel_moment(1, rate, decay, t[1:])
         assert np.array_equal(full[1:], rest)
+
+
+class TestExpKernelMomentWholeAxis:
+    """By parts on the whole axis, series nodes written over it."""
+
+    def test_long_grid_matches_40_term_oracle(self):
+        # past numpy's 256 KiB temporary-elision threshold, in both regimes
+        t = np.linspace(0.0, 1.0, 25466)
+        for power, rate, decay in [(0, -0.3 + 1e4j, 1.0), (2, -0.2 + 3e4j, 16.0),
+                                   (1, 2e-5, 0.0), (3, -0.5, 9.0)]:
+            want = exp_kernel_moment_40(power, rate, decay, t)
+            assert exp_kernel_moment(power, rate, decay, t).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("t", [0.7, np.linspace(0.0, 2.0, 65)])
+    @pytest.mark.parametrize("rate, decay", [(0.0, 0.0), (-4.0, 4.0), (1e-200, 0.0),
+                                             (-1.0 + 1e-300j, 1.0)])
+    def test_resonance_raises_no_warnings(self, rate, decay, t):
+        # every node is in the series regime: no 1/lam^(j+1) is formed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for power in range(4):
+                got = exp_kernel_moment(power, rate, decay, t)
+                want = exp_kernel_moment_40(power, rate, decay, t)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 # ---------------------------------------------------------------------------

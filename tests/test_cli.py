@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from osckit import asymptotics as asy
+from osckit import catalog, volterra
 from osckit.catalog import SlowFunction, SourceFactor, duhamel_weight
 from osckit.cli import main
 from osckit.forward import HeatProblem
@@ -22,6 +23,8 @@ from osckit.scenarios import (
     run,
     serialize_scenario,
 )
+
+from _oracles import exp_kernel_moment_40
 
 
 # sha256 of the JSON and CSV reports of each built-in, recorded on numpy
@@ -459,6 +462,22 @@ class TestEmit:
         for fmt, digests in (("json", BUILTIN_REPORT_SHA256), ("csv", BUILTIN_CSV_SHA256)):
             text = emit(report, fmt, str(tmp_path / f"r.{fmt}"))
             assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digests[name]
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_REPORT_SHA256))
+    def test_builtin_report_bytes_match_40_term_moments(self, name, tmp_path, monkeypatch):
+        # the pins above skip off numpy 2.4.6; this comparison runs on any numpy
+        def reports():
+            report = run(builtin_scenario(name))
+            return [emit(report, fmt, str(tmp_path / f"r.{fmt}")) for fmt in ("json", "csv")]
+
+        texts = reports()
+
+        def oracle(power, rate, decay, t, e_decay=None):
+            return exp_kernel_moment_40(power, rate, decay, t)
+
+        for module in (catalog, volterra):
+            monkeypatch.setattr(module, "exp_kernel_moment", oracle)
+        assert reports() == texts
 
     def test_csv_inverse2_envelope_text(self, tmp_path):
         # psi_n = a_n L_n with powers of two a_n, so psi_n / L_n is exactly a_n

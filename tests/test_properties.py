@@ -12,6 +12,7 @@ from osckit.catalog import (
     FastProfile,
     SineSeries,
     SlowFunction,
+    _decay_exponential,
     duhamel_slow,
     exp_kernel_moment,
 )
@@ -22,7 +23,7 @@ from osckit.scenarios import (
     serialize_scenario,
 )
 
-from _oracles import times_exp
+from _oracles import exp_kernel_moment_40, times_exp
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 T = np.linspace(0.0, 2.0, 65)
@@ -84,6 +85,46 @@ def test_moment_branches_meet_at_the_switch(power, size, angle, decay):
     assert np.abs(lam) * t[0] <= 1.0 < np.abs(lam) * t[1]
     series, closed = exp_kernel_moment(power, lam - decay, decay, t)
     assert abs(series - closed) <= 1e-12 * abs(series)
+
+
+# lam = rate + decay: real or complex with |lam| in [1e-6, 30], exactly 0, or
+# an oscillatory rate whose imaginary part is 1e3..1e8
+signs = st.sampled_from([1.0, -1.0])
+lam_sizes = st.floats(-6.0, math.log10(30.0)).map(lambda e: 10.0 ** e)
+lams = st.one_of(
+    st.builds(lambda size, sign: complex(sign * size), lam_sizes, signs),
+    st.builds(lambda size, angle: size * complex(math.cos(angle), math.sin(angle)),
+              lam_sizes, st.floats(0.0, 2.0 * math.pi)),
+    st.builds(lambda re, e, sign: complex(re, sign * 10.0 ** e),
+              st.floats(-30.0, 30.0), st.floats(3.0, 8.0), signs),
+    st.just(0j))
+
+
+@st.composite
+def moment_nodes(draw, lam):
+    """Scalar t, or unsorted nodes with a duplicate and an interior 0, on a
+    scale of 1/|lam| (both regimes) or of 1."""
+    scale = draw(st.sampled_from([1.0 / abs(lam) if lam else 1.0, 1.0]))
+    values = draw(st.lists(st.floats(0.0, 3.0), min_size=1, max_size=40))
+    if draw(st.booleans()):
+        return scale * values[0]
+    where = draw(st.integers(0, len(values)))
+    values = values[:where] + [0.0] + values[where:] + values[:draw(st.integers(1, 3))]
+    return scale * np.array(values)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data(), st.integers(0, 3), lams, st.sampled_from([0.0, 1.0, 4.0, 25.0, 2304.0]),
+       st.booleans())
+def test_moment_matches_40_term_oracle_bit_for_bit(data, power, lam, decay, shared):
+    t = data.draw(moment_nodes(lam))
+    rate = lam - decay
+    want = exp_kernel_moment_40(power, rate, decay, t)
+    e_decay = _decay_exponential(decay, t) if shared else None
+    got = exp_kernel_moment(power, rate, decay, t, e_decay=e_decay)
+    assert np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()  # signed zeros too
 
 
 coefficients = st.floats(-5.0, 5.0)
