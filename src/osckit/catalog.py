@@ -44,6 +44,10 @@ SERIES_HORIZON = 4.0  # symbolic series regime: |rate + decay| <= 1/4
 # 40 terms keep about 1e-13 of the integral's size up to |lam| t = 4.
 NUMERIC_TERMS = 20
 SYMBOLIC_TERMS = 40
+# numpy's complex exp of x + iy rescales past x = 709, and exp(x) is 0 below
+# -745; there e^x times e^{iy} has other bits (or a zero of the other sign),
+# so a shared phase is used only while |x| <= SPLIT_LIMIT
+SPLIT_LIMIT = 700.0
 
 
 class CatalogError(ValueError):
@@ -570,6 +574,28 @@ def _decay_exponential(decay, t) -> np.ndarray:
     return np.exp(-complex(decay) * np.asarray(t, dtype=float))
 
 
+def _phase_exponential(frequency: float, t) -> np.ndarray:
+    """``e^{i frequency t}``, the fast phase every moment of one harmonic shares."""
+    return np.exp(complex(0.0, frequency) * np.asarray(t, dtype=float))
+
+
+def _rate_exponential(rate, t, phase=None, t_max: float = math.inf) -> np.ndarray:
+    """``e^{rate t}`` as the moments use it, the bits of ``np.exp(rate * t)``.
+
+    ``phase``, if given, must be ``_phase_exponential(rate.imag, t)`` and
+    ``t_max`` at least ``max |t|``.  Where ``|rate.real| t_max <=
+    SPLIT_LIMIT`` the result is then ``e^{rate.real t}`` times ``phase``:
+    numpy's complex exp returns ``exp(x) cos y + i exp(x) sin y``, and
+    ``exp(x) + 0i`` for ``y = 0``, so the product has the same bits at every
+    ``t != 0`` and the costly ``sincos`` is not repeated.
+    """
+    rate = complex(rate)
+    arr = np.asarray(t, dtype=float)
+    if phase is None or abs(rate.real) * t_max > SPLIT_LIMIT:
+        return np.exp(rate * arr)
+    return np.exp(complex(rate.real) * arr) * phase
+
+
 def _series_sum(power: int, lam: complex, ts: np.ndarray) -> np.ndarray:
     """``int_0^t s^power e^{lam s} ds`` at nodes ``ts`` of the series regime.
 
@@ -587,16 +613,17 @@ def _series_sum(power: int, lam: complex, ts: np.ndarray) -> np.ndarray:
 
 
 def exp_kernel_moment(power: int, rate: complex, decay: complex, t, *,
-                      e_decay=None) -> np.ndarray:
+                      e_decay=None, e_rate=None) -> np.ndarray:
     """``integral_0^t e^{-decay (t-s)} s^power e^{rate s} ds``.
 
     Complex-safe and vectorized in t.  Large ``decay`` never enters a bare
     exponential (only ``e^{rate t}`` and ``e^{-decay t}`` appear), and a
     power series takes over where ``0 < |rate + decay| * t <= 1`` so the
     near-resonant regime loses no digits to cancellation.  At ``t = 0`` the
-    integral is exactly ``0j`` and no terms are summed.  ``e_decay``, if
-    given, must be ``np.exp(-complex(decay) * t)``; callers taking several
-    moments of one decay pass it to form it once.
+    integral is exactly ``0j`` and no terms are summed.  ``e_decay`` and
+    ``e_rate``, if given, must have the bits of ``np.exp(-complex(decay) *
+    t)`` and ``np.exp(complex(rate) * t)``; callers taking several moments
+    of one decay or one rate pass them to form each once.
     """
     arr = np.asarray(t, dtype=float)
     scalar = arr.ndim == 0
@@ -619,7 +646,7 @@ def exp_kernel_moment(power: int, rate: complex, decay: complex, t, *,
         poly = poly + c / np.complex128(d)
         # e_rate is named: numpy would multiply into a temporary exponential
         # in place, whose complex loop rounds differently on long arrays
-        e_rate = np.exp(complex(rate) * arr)
+        e_rate = _rate_exponential(rate, arr) if e_rate is None else np.atleast_1d(e_rate)
         out = poly * e_rate + a0 / b0 * e_decay
         out[series] = 0j
     small = series & (arr != 0.0)
@@ -634,27 +661,37 @@ def duhamel_weight(n: int, g: SlowFunction, t):
     return float(out) if out.ndim == 0 else out
 
 
-def duhamel_oscillatory(n: int, g, frequency: float, t):
+def duhamel_oscillatory(n: int, g, frequency: float, t, *, e_decay=None, phase=None):
     """``integral_0^t e^{-n^2 (t-s)} g(s) e^{i * frequency * s} ds`` (complex).
 
     Real part gives the cos-modulated integral, imaginary part the
     sin-modulated one.  ``g`` may also be a tuple of SlowFunctions under the
     same modulation; the result is then the tuple of their integrals, and a
     (power, rate) term they share has its moment computed once.  All
-    moments of one call share one ``e^{-n^2 t}``.
+    moments of one call share one ``e^{-n^2 t}``; ``e_decay``, if given,
+    must be ``_decay_exponential(n^2, t)``.  ``phase``, if given, must be
+    ``_phase_exponential(frequency, t)``; each distinct term rate ``r``
+    then takes its ``e^{(r + i frequency) t}`` as ``e^{r t}`` times that
+    phase (``_rate_exponential``).
     """
     n2 = float(n) * float(n)
     arr = np.asarray(t, dtype=float)
     single = isinstance(g, SlowFunction)
-    e_decay = _decay_exponential(n2, arr)
+    if e_decay is None:
+        e_decay = _decay_exponential(n2, arr)
+    t_max = math.inf if phase is None else float(np.max(np.abs(arr)))
+    e_rates = {}
     moments = {}
     outs = []
     for part in (g,) if single else g:
         out = np.zeros(arr.shape, dtype=complex)
         for c, m, rate in part.terms:
             if (m, rate) not in moments:
-                moments[m, rate] = exp_kernel_moment(m, rate + 1j * frequency, n2, arr,
-                                                     e_decay=e_decay)
+                full = rate + 1j * frequency
+                if phase is not None and rate not in e_rates:
+                    e_rates[rate] = _rate_exponential(full, arr, phase, t_max)
+                moments[m, rate] = exp_kernel_moment(m, full, n2, arr, e_decay=e_decay,
+                                                     e_rate=e_rates.get(rate))
             out = out + c * moments[m, rate]
         outs.append(out)
     return outs[0] if single else tuple(outs)

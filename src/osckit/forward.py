@@ -23,7 +23,9 @@ from .catalog import (
     SampledSeries,
     SineSeries,
     SourceFactor,
+    _decay_exponential,
     _gauss_nodes,
+    _phase_exponential,
     _require_finite,
     duhamel_oscillatory,
     duhamel_weight,
@@ -67,16 +69,23 @@ def oscillatory_amplitudes(problem: HeatProblem, modes, t: np.ndarray) -> np.nda
 
     One row per entry of ``modes``; exponential moments are taken once per
     (mode, harmonic, distinct term), so the cos and sin parts of a harmonic
-    share the moments of their common terms; a sampled envelope raises
+    share the moments of their common terms.  Each harmonic's phase
+    ``e^{i k omega t}`` is formed once for all modes, and each mode's
+    ``e^{-n^2 t}`` once for all harmonics.  A sampled envelope raises
     ``CatalogError``.
     """
     if isinstance(problem.envelope, SampledSeries):
         raise CatalogError("a sampled envelope has no closed-form amplitudes")
+    omega = problem.omega
+    harmonics = [(k, a, b, _phase_exponential(k * omega, t))
+                 for k, a, b in problem.factor.oscillation.harmonics]
     out = np.zeros((len(modes), t.size))
     for row, n in zip(out, modes):
         fn = problem.envelope.coefficient(n)
-        for k, a, b in problem.factor.oscillation.harmonics:
-            cos, sin = duhamel_oscillatory(n, (fn * a, fn * b), k * problem.omega, t)
+        e_decay = _decay_exponential(float(n) * float(n), t)
+        for k, a, b, phase in harmonics:
+            cos, sin = duhamel_oscillatory(n, (fn * a, fn * b), k * omega, t,
+                                           e_decay=e_decay, phase=phase)
             if not a.is_zero:
                 row += cos.real
             if not b.is_zero:

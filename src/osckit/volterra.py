@@ -18,7 +18,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .catalog import GridFunction, SineSeries, SlowFunction, exp_kernel_moment
+from .catalog import (
+    GridFunction,
+    SineSeries,
+    SlowFunction,
+    _decay_exponential,
+    _rate_exponential,
+    exp_kernel_moment,
+)
 
 __all__ = [
     "SingularEquationError",
@@ -252,10 +259,13 @@ class SeparableResolvent:
         """``y_n(t)``, shape (modes, len(t))."""
         arr = np.atleast_1d(np.asarray(t, dtype=float))
         moments = np.zeros((self.ns.size, arr.size), dtype=complex)
+        e_rates = [_rate_exponential(rate, arr) for _, _, rate in self.rhs.terms]
         for e, lam in enumerate(self.eigenvalues):
+            e_decay = _decay_exponential(-lam, arr)
             acc = np.zeros(arr.size, dtype=complex)
-            for coeff, power, rate in self.rhs.terms:
-                acc += coeff * exp_kernel_moment(power, rate, -lam, arr)
+            for (coeff, power, rate), e_rate in zip(self.rhs.terms, e_rates):
+                acc += coeff * exp_kernel_moment(power, rate, -lam, arr,
+                                                 e_decay=e_decay, e_rate=e_rate)
             moments[e] = self.weights[e] * acc / self.g0
         return (self.vectors @ moments).real
 

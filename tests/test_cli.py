@@ -472,7 +472,9 @@ class TestEmit:
 
         texts = reports()
 
-        def oracle(power, rate, decay, t, e_decay=None):
+        # the oracle forms its own complex exponentials, so the shared ones of
+        # the forward and resolvent paths are checked end to end
+        def oracle(power, rate, decay, t, e_decay=None, e_rate=None):
             return exp_kernel_moment_40(power, rate, decay, t)
 
         for module in (catalog, volterra):

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from osckit import catalog, forward
 from osckit.asymptotics import leading_term, residual_norm
 from osckit.catalog import (
     CatalogError,
@@ -185,20 +186,57 @@ class TestSolveHeat:
         want = outer_sum(x, t, problem.active_modes, closed_mode)
         assert np.max(np.abs(u.values - want)) < 1e-14
 
+    # a ladder-shaped 8192-node block of the residual grid (omega 1e4, two
+    # harmonics, one-term coefficients) and a spectral-shaped 513-node grid
+    # (omega 1e7, three harmonics, two-term coefficients)
+    SHARED_CASES = {
+        "small": (SineSeries({1: SlowFunction([(1.0, 0, 0.0), (0.5, 1, -1.0)]),
+                              2: 0.7, 3: SlowFunction.monomial(0.3, 2)}),
+                  FastProfile([(1, 0.3, 1.0),
+                               (2, SlowFunction([(0.5, 1, 0.0), (0.2, 0, -1.0)]),
+                                SlowFunction.monomial(-0.4, 1))]),
+                  300.0, np.linspace(0.0, 1.0, 129)),
+        "ladder": (SineSeries({n: SlowFunction.monomial(0.8 / n**2, 0, 0.3 - 0.4 * n)
+                               for n in range(1, 5)}),
+                   FastProfile([(k, SlowFunction.monomial(0.6, 0, -0.7 * k),
+                                 SlowFunction.monomial(-0.5, 0, 0.45 * k)) for k in (1, 2)]),
+                   1e4, np.linspace(0.0, 1.0, 25466)[8192:16384]),
+        "spectral": (SineSeries({n: SlowFunction([(0.9 / n, 0, 1.2 - 0.1 * n),
+                                                  (-0.6 / n, 1, -0.05 * n)])
+                                 for n in range(1, 7)}),
+                     FastProfile([(k, SlowFunction([(0.4, 0, 0.5 * k), (-0.3, 1, -1.1)]),
+                                   SlowFunction.monomial(0.7, 0, -0.2 * k)) for k in (1, 2, 3)]),
+                     1e7, np.linspace(0.0, 1.0, 513)),
+    }
+
     def test_shared_moments_keep_per_part_bytes(self):
-        envelope = SineSeries({1: SlowFunction([(1.0, 0, 0.0), (0.5, 1, -1.0)]),
-                               2: 0.7, 3: SlowFunction.monomial(0.3, 2)})
-        oscillation = FastProfile([(1, 0.3, 1.0), (2, SlowFunction([(0.5, 1, 0.0), (0.2, 0, -1.0)]),
-                                                   SlowFunction.monomial(-0.4, 1))])
-        problem = HeatProblem(envelope, SourceFactor(LINEAR_MEAN, oscillation), 300.0, 1.0)
-        t = np.linspace(0.0, 1.0, 129)
-        want = np.zeros((3, t.size))
-        for row, n in zip(want, (1, 2, 3)):
-            fn = envelope.coefficient(n)
-            for k, a, b in oscillation.harmonics:
-                row += duhamel_oscillatory(n, fn * a, 300.0 * k, t).real
-                row += duhamel_oscillatory(n, fn * b, 300.0 * k, t).imag
-        assert np.array_equal(oscillatory_amplitudes(problem, [1, 2, 3], t), want)
+        # each part alone forms its own decay and complex rate exponentials
+        for case, (envelope, oscillation, omega, t) in self.SHARED_CASES.items():
+            problem = HeatProblem(envelope, SourceFactor(LINEAR_MEAN, oscillation), omega, 1.0)
+            modes = problem.active_modes
+            want = np.zeros((len(modes), t.size))
+            for row, n in zip(want, modes):
+                fn = envelope.coefficient(n)
+                for k, a, b in oscillation.harmonics:
+                    row += duhamel_oscillatory(n, fn * a, omega * k, t).real
+                    row += duhamel_oscillatory(n, fn * b, omega * k, t).imag
+            got = oscillatory_amplitudes(problem, modes, t)
+            assert got.tobytes() == want.tobytes(), case
+
+    def test_one_phase_per_harmonic_one_decay_per_mode(self, monkeypatch):
+        envelope, oscillation, omega, t = self.SHARED_CASES["spectral"]
+        problem = HeatProblem(envelope, SourceFactor(LINEAR_MEAN, oscillation), omega, 1.0)
+        formed = []
+
+        def spied(name, form):
+            return lambda arg, t: formed.append((name, arg)) or form(arg, t)
+
+        for module in (forward, catalog):  # catalog's: duhamel_oscillatory forms none
+            for name in ("_phase_exponential", "_decay_exponential"):
+                monkeypatch.setattr(module, name, spied(name, getattr(module, name)))
+        oscillatory_amplitudes(problem, problem.active_modes, t)
+        assert formed == ([("_phase_exponential", omega * k) for k, _, _ in oscillation.harmonics]
+                          + [("_decay_exponential", float(n * n)) for n in problem.active_modes])
 
     def test_tail_warning_for_truncated_modes(self):
         envelope = SineSeries({1: 1.0, 40: 0.5})

@@ -13,6 +13,8 @@ from osckit.catalog import (
     SineSeries,
     SlowFunction,
     _decay_exponential,
+    _phase_exponential,
+    _rate_exponential,
     duhamel_slow,
     exp_kernel_moment,
 )
@@ -113,18 +115,50 @@ def moment_nodes(draw, lam):
     return scale * np.array(values)
 
 
+def shared_exponentials(rate, decay, t, shared):
+    """The keywords a caller sharing ``e^{-decay t}``, or also a phase, passes."""
+    if shared is None:
+        return {}
+    keywords = {"e_decay": _decay_exponential(decay, t)}
+    if shared == "phase":
+        phase = _phase_exponential(complex(rate).imag, t)
+        keywords["e_rate"] = _rate_exponential(rate, t, phase, float(np.max(np.abs(t))))
+    return keywords
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(st.data(), st.integers(0, 3), lams, st.sampled_from([0.0, 1.0, 4.0, 25.0, 2304.0]),
-       st.booleans())
+       st.sampled_from([None, "decay", "phase"]))
 def test_moment_matches_40_term_oracle_bit_for_bit(data, power, lam, decay, shared):
     t = data.draw(moment_nodes(lam))
     rate = lam - decay
     want = exp_kernel_moment_40(power, rate, decay, t)
-    e_decay = _decay_exponential(decay, t) if shared else None
-    got = exp_kernel_moment(power, rate, decay, t, e_decay=e_decay)
+    got = exp_kernel_moment(power, rate, decay, t, **shared_exponentials(rate, decay, t, shared))
     assert np.shape(got) == np.shape(want)
     assert np.array_equal(got, want)
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()  # signed zeros too
+
+
+# |w| in [1, 1e8] of either sign; |g| <= 5, exactly 0 included
+frequencies = st.builds(lambda e, sign: sign * 10.0 ** e, st.floats(0.0, 8.0), signs)
+slow_rates = st.one_of(st.floats(-5.0, 5.0), st.just(0.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(slow_rates, frequencies, st.floats(1e-3, 760.0), st.integers(1, 40000),
+       st.integers(0, 2**32 - 1))
+def test_phase_times_real_exponential_is_the_complex_exponential(g, w, reach, size, seed):
+    # unsorted t > 0 with |g| max(t) up to 760: past SPLIT_LIMIT the plain
+    # complex exponential is taken, and 40000 nodes pass numpy's 256 KiB
+    # temporary-elision size
+    horizon = reach / max(abs(g), 0.1)
+    t = np.random.default_rng(seed).uniform(0.0, horizon, size)
+    t[t == 0.0] = horizon
+    rate = complex(g, w)
+    with np.errstate(over="ignore"):  # e^{g t} overflows past g t = 709.78
+        got = _rate_exponential(rate, t, _phase_exponential(w, t), float(np.max(t)))
+        want = np.exp(rate * t)
+    assert got.tobytes() == want.tobytes()  # signed zeros too
 
 
 coefficients = st.floats(-5.0, 5.0)

@@ -6,10 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from osckit.catalog import SineSeries, SlowFunction, duhamel_slow
+from osckit import volterra
+from osckit.catalog import SineSeries, SlowFunction, duhamel_slow, exp_kernel_moment
 from osckit.volterra import (
     BLOCK,
     Kernel,
+    SeparableResolvent,
     SingularEquationError,
     VolterraProblem,
     build_kernel,
@@ -241,6 +243,28 @@ class TestSeparableResolvent:
             resolvent = resolvent_from_problem(problem)
             diff = np.max(np.abs(marching.values - resolvent(marching.axes[0])))
             assert diff < 5e-6  # marching O(h^2) against the exact path
+
+    def test_mode_integrals_share_exponentials(self, monkeypatch):
+        rhs = SlowFunction([(0.7, 1, 0.0), (-0.4, 0, -0.6), (0.2, 2, 0.3)])
+        resolvent = SeparableResolvent(1.3, [1, 2, 3], [0.5, -0.8, 0.3], rhs)
+        t = np.linspace(0.0, 2.0, 97)
+        want = np.zeros((3, t.size), dtype=complex)
+        for row, w, lam in zip(want, resolvent.weights, resolvent.eigenvalues):
+            acc = np.zeros(t.size, dtype=complex)
+            for coeff, power, rate in rhs.terms:
+                acc += coeff * exp_kernel_moment(power, rate, -lam, t)
+            row[:] = w * acc / resolvent.g0
+        formed = []
+
+        def spied(name, form):
+            return lambda arg, t: formed.append(name) or form(arg, t)
+
+        for name in ("_decay_exponential", "_rate_exponential"):
+            monkeypatch.setattr(volterra, name, spied(name, getattr(volterra, name)))
+        got = resolvent.mode_integrals(t)
+        assert formed.count("_decay_exponential") == 3  # one per eigenvalue
+        assert formed.count("_rate_exponential") == len(rhs.terms)
+        assert got.tobytes() == (resolvent.vectors @ want).real.tobytes()
 
     def test_requires_constant_coefficients(self):
         problem = replace(reference_problem(),
