@@ -2,13 +2,16 @@
 
 Solves ``diagonal(t) l(t) + integral_0^t K(t, s) l(s) ds = rhs(t)`` on a
 uniform grid.  Separable kernels ``K(t, s) = sum_n c_n(s) e^{-n^2 (t-s)}``
-march block by block: each block of ``BLOCK`` steps is one lower-triangular
-solve, and the history enters through an N-vector of mode sums carried from
-block to block, O(M (BLOCK + modes)) in all.  Kernels are always separable
-(``Kernel``); a zero kernel reduces the equation to a division.  A spectral
-resolvent gives the exact solution of the constant-coefficient separable
-case (needed where the O(h^2) marching error would mask a data-consistency
-question).
+make the march a linear recurrence in N mode sums.  The M steps are cut
+into chunks of about ``sqrt(M / 4)`` rows that march side by side, each
+with its response to its own data and to every unit history; one short
+scan over the chunk boundaries carries the true history, and one product
+forms every row.  The work is O(M N^2) element-wise with no LU, so it wins
+for few modes and loses to a blocked triangular solve past about 20 modes
+(see ``solve``).  Kernels are always separable (``Kernel``); a zero kernel
+reduces the equation to a division.  A spectral resolvent gives the exact
+solution of the constant-coefficient separable case (needed where the
+O(h^2) marching error would mask a data-consistency question).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .catalog import (
     SlowFunction,
     _decay_exponential,
     _rate_exponential,
+    _require_finite,
     exp_kernel_moment,
 )
 
@@ -39,7 +43,6 @@ __all__ = [
 ]
 
 DENOMINATOR_FLOOR = 1e-12
-BLOCK = 64  # steps per triangular solve of the separable march
 
 
 class SingularEquationError(RuntimeError):
@@ -93,6 +96,16 @@ class VolterraProblem:
     horizon: float
     intervals: int = 2048
 
+    def __post_init__(self):
+        _require_finite(self, "horizon")
+        if self.horizon <= 0:
+            raise ValueError("horizon must be positive")
+        m = self.intervals
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+            raise ValueError(f"intervals must be an integer, got {m!r}")
+        if m < 1:
+            raise ValueError("intervals must be >= 1")
+
     def grid(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.intervals + 1)
 
@@ -120,9 +133,15 @@ def solve(problem: VolterraProblem) -> GridFunction:
         l_i = [rhs_i - h (K(t_i,t_0) l_0 / 2 + sum_{0<j<i} K(t_i,t_j) l_j)]
               / [diag_i + (h/2) K(t_i,t_i)].
 
-    The separable kernel solves these rows ``BLOCK`` at a time (see
-    ``_march_blocks``); a zero kernel divides.  A kernel that is not a
-    ``Kernel`` raises ``TypeError``.
+    The separable kernel marches these rows in chunks side by side and
+    joins the chunks with one carry scan (see ``_march_chunks``); a zero
+    kernel divides.  A kernel that is not a ``Kernel`` raises ``TypeError``.
+
+    The work is O(M N^2) for N modes, in about 6 numpy calls per row of a
+    chunk and 2 per chunk.  At M = 2^15 on one x86_64 core it takes about
+    6 ms for N = 3, 40 ms for N = 16 and 145 ms for N = 32.  A blocked
+    triangular solve (64-step blocks, O(M (64^2/3 + 64 N)) in LAPACK) takes
+    30-70 ms over that range, so it is the faster march past about 20 modes.
     """
     if not isinstance(problem.kernel, Kernel):
         raise TypeError(f"kernel {problem.kernel!r} is not a separable Kernel")
@@ -144,45 +163,63 @@ def solve(problem: VolterraProblem) -> GridFunction:
         bad = np.flatnonzero(np.abs(den[1:]) < DENOMINATOR_FLOOR)
         if bad.size:
             raise SingularEquationError(f"singular step at t = {t[bad[0] + 1]:g}")
-        _march_blocks(l, mu, den, cs, ns, h)
+        _march_chunks(l, mu, den, cs, ns, h)
     else:
         l[1:] = mu[1:] / g[1:]  # zero kernel
     return GridFunction((t,), l, {"intervals": problem.intervals, "h": h})
 
 
-def _march_blocks(l, mu, den, cs, ns, h) -> None:
-    """Fill ``l[1:]`` for the separable kernel, ``BLOCK`` rows per solve.
+def _march_chunks(l, mu, den, cs, ns, h) -> None:
+    """Fill ``l[1:]`` for the separable kernel, every chunk of rows at once.
 
     With ``D_n = e^{-n^2 h}`` and trapezoid weights ``w_0 = 1/2``,
-    ``w_j = 1``, row i reads ``den_i l_i + s(i) = mu_i`` where
-    ``s(i) = sum_n s_n(i)`` and ``s_n(i) = h sum_{j<i} D_n^(i-j) w_j c_n(t_j) l_j``.
-    The rows ``i0 .. i0+b-1`` of one block form the lower-triangular system
-
-        den_i l_i + sum_{i0<=j<i} Q[i-j, j] l_j = mu_i - sum_n D_n^(i-i0) s_n(i0),
-
-    with ``Q[k, j] = h sum_n D_n^k w_j c_n(t_j)``, and the carried N-vector
-    moves on as ``s_n(i0+b) = D_n^b s_n(i0) + h sum_j D_n^(i0+b-j) w_j c_n(t_j) l_j``.
+    ``w_j = 1``, row i reads ``den_i l_i + sum_n s_n(i) = mu_i``, where
+    ``s_n(1) = D_n h w_0 c_n(t_0) l_0`` and
+    ``s_n(i+1) = D_n (s_n(i) + h w_i c_n(t_i) l_i)``: a linear recurrence.
+    Rows 1..M are cut into ``nch`` chunks of ``b`` rows, the last padded
+    with rows that do nothing (``mu = 0``, ``den = 1``, ``c = 0``), and
+    all chunks advance together, one row per step.  Each chunk carries an
+    ``N x (N+1)`` state: column 0 is its response to its own ``mu`` from
+    zero history, column ``1 + m`` its response to the unit history
+    ``e_m``.  A scan over the chunks then carries the true history,
+    ``sigma_{k+1} = e_k + F_k sigma_k`` with ``e_k``, ``F_k`` the chunk's
+    final columns, and every row is ``l = y + G sigma``.
     """
-    hwc = h * cs  # h w_j c_n(t_j)
-    hwc[:, 0] *= 0.5
-    powers = np.exp(np.outer(np.arange(BLOCK + 1), -(ns * ns) * h))  # D_n^k
-    full = _toeplitz_index(BLOCK)
-    running = powers[1] * hwc[:, 0] * l[0]
-    for i0 in range(1, l.size, BLOCK):
-        b = min(BLOCK, l.size - i0)
-        sl = slice(i0, i0 + b)
-        into, take = full if b == BLOCK else _toeplitz_index(b)
-        a = np.diag(den[sl])
-        a.ravel()[into] = (powers[:b] @ hwc[:, sl]).ravel()[take]
-        l[sl] = np.linalg.solve(a, mu[sl] - powers[:b] @ running)
-        running = powers[b] * running + (powers[b:0:-1].T * hwc[:, sl]) @ l[sl]
+    m, modes = l.size - 1, ns.size
+    b = _chunk_rows(m)
+    nch = -(-m // b)
+
+    def by_row(a, fill):  # (..., M) -> (b, ..., nch), chunk index contiguous
+        lead = a.shape[:-1]
+        a = np.concatenate([a, np.full(lead + (nch * b - m,), fill)], axis=-1)
+        return np.ascontiguousarray(np.moveaxis(a.reshape(lead + (nch, b)), -1, 0))
+
+    decay = np.exp(-(ns * ns) * h)[:, None, None]  # D_n
+    mu_r, neg_den = by_row(mu[1:], 0.0), by_row(-den[1:], -1.0)
+    hwc = by_row(h * cs[:, 1:], 0.0)  # h w_i c_n(t_i), w_i = 1 past t_0
+    state = np.zeros((modes, modes + 1, nch))
+    state[:, 1:, :] = np.eye(modes)[:, :, None]
+    resp = np.empty((b, modes + 1, nch))  # row responses: y in column 0, G after
+    for lr, mu_i, neg_den_i, hwc_i in zip(resp, mu_r, neg_den, hwc[:, :, None, :]):
+        np.add.reduce(state, axis=0, out=lr)  # l = (mu - sum_n s_n) / den
+        np.subtract(lr[0], mu_i, out=lr[0])
+        lr /= neg_den_i
+        state += hwc_i * lr
+        state *= decay
+
+    carry, jump = state[:, 0, :].T.copy(), state[:, 1:, :].transpose(2, 0, 1).copy()
+    sigma = np.empty((nch, modes))  # true history entering each chunk
+    sigma[0] = decay[:, 0, 0] * (0.5 * h * cs[:, 0]) * l[0]
+    for e, f, prev, nxt in zip(carry, jump, sigma, sigma[1:]):
+        np.add(e, f @ prev, out=nxt)
+    rows = resp[:, 0, :] + np.einsum("rnk,kn->rk", resp[:, 1:, :], sigma)
+    l[1:] = rows.T.ravel()[:m]
 
 
-def _toeplitz_index(b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of the strict lower triangle of a b x b matrix and of
-    ``Q[i - j, j]`` for each of its entries (i, j)."""
-    rows, cols = np.tril_indices(b, -1)
-    return rows * b + cols, (rows - cols) * b + cols
+def _chunk_rows(m: int) -> int:
+    """Rows per chunk of an M-step march; about ``sqrt(M / 4)`` balances the
+    ``b`` row steps against the ``M / b`` scan steps."""
+    return max(1, math.isqrt(m // 4))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ expansion's grid values, independent of the library's single synthesis
 product and its mode-by-mode remainder.
 
 The separable Volterra march is kept in its per-step form, one node at a
-time, as the reference for the blocked solver, and the two-term remainder
+time, as the reference for the chunked solver, and the two-term remainder
 norm in its one-shot form, the whole resolving grid in one synthesis, as the
 reference for the blocked ``residual_norm``; the exponential moment keeps its
 40-term series and its gather/scatter branches, one bool mask per regime, as

@@ -32,12 +32,12 @@ from _oracles import exp_kernel_moment_40
 # other versions skip the comparison.
 PINNED_NUMPY = "2.4.6"
 BUILTIN_REPORT_SHA256 = {
-    "golden": "ed2c73d9f4e24f89746a754e020722e89fd463a3690f34f7d60a2151cf458458",
+    "golden": "b211adb5c19fc49290eb3a6c1524e61fc9cfcc4da53099a0f4eee7c25563ed0f",
     "golden-convergence": "2e7555c24b4f47917d48cf64aca136f8eea6c8d336fa68be205675cdfd7e02ab",
     "golden-forward": "8d8ae85f37ece36eed6365b1976e4e0ce12f0975b77782b67a8dca0cf4dc840c",
 }
 BUILTIN_CSV_SHA256 = {
-    "golden": "d66206eff4cbbff798010c92ee8789a1a8b8c0b730d807919f232e65025373c6",
+    "golden": "8e931ad13cc8cf9141350a8cf4c11aa7c5291ec03c0a7aa71e570555a785d0ac",
     "golden-convergence": "ac16549455f5a64f9e907dc366aedab4ddeba96f4a15ccf905d6c31bf5d472b1",
     "golden-forward": "f3b0fb2649f9a3abd3730022712c37b31c03f6642961a30512ff8ed47c6ab8be",
 }

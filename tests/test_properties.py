@@ -1,4 +1,5 @@
-"""Property tests for the closed-form catalog and the scenario format."""
+"""Property tests for the closed-form catalog, the scenario format and the
+Volterra march."""
 
 import json
 import math
@@ -24,8 +25,9 @@ from osckit.scenarios import (
     parse_scenario_dict,
     serialize_scenario,
 )
+from osckit.volterra import Kernel, VolterraProblem, solve
 
-from _oracles import exp_kernel_moment_40, times_exp
+from _oracles import exp_kernel_moment_40, march_separable, times_exp
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 T = np.linspace(0.0, 2.0, 65)
@@ -209,3 +211,22 @@ json_values = st.recursive(
 @given(json_values)
 def test_report_writer_matches_indented_dumps(value):
     assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+# |c_n(t)| <= 0.28 keeps every step's denominator above 0.15 on [0, 1]
+kernel_modes = st.lists(st.tuples(st.integers(0, 40), st.floats(-0.2, 0.2),
+                                  st.floats(-0.2, 0.2)),
+                        min_size=1, max_size=6, unique_by=lambda mode: mode[0])
+
+
+@PROPERTY
+@given(st.integers(1, 3000), kernel_modes, st.booleans())
+def test_chunked_march_matches_per_step_march(intervals, modes, varying):
+    def coefficient(a, b):
+        return SlowFunction([(a, 0, 0.0), (b, 1, -1.0)] if varying else [(a, 0, 0.0)])
+
+    kernel = Kernel(tuple((n, coefficient(a, b)) for n, a, b in modes))
+    problem = VolterraProblem(SlowFunction.constant(1.0), kernel,
+                              SlowFunction([(1.0, 0, 0.0), (0.5, 1, -0.7)]), 1.0, intervals)
+    want = march_separable(problem)
+    assert sup(solve(problem).values - want) <= 1e-12 * sup(want)

@@ -9,11 +9,11 @@ import pytest
 from osckit import volterra
 from osckit.catalog import SineSeries, SlowFunction, duhamel_slow, exp_kernel_moment
 from osckit.volterra import (
-    BLOCK,
     Kernel,
     SeparableResolvent,
     SingularEquationError,
     VolterraProblem,
+    _chunk_rows,
     build_kernel,
     convergence_order,
     solve,
@@ -126,6 +126,14 @@ class TestSolve:
         with pytest.raises(ValueError, match="non-finite"):
             solve(problem)
 
+    @pytest.mark.parametrize("field, value", [
+        ("intervals", 0), ("intervals", -3), ("intervals", 2.5), ("intervals", True),
+        ("horizon", -1.0), ("horizon", 0.0), ("horizon", math.nan), ("horizon", math.inf),
+    ])
+    def test_bad_grid_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            replace(reference_problem(), **{field: value})
+
     @pytest.mark.parametrize("field", ["diagonal", "rhs"])
     def test_callable_data_rejected(self, field):
         problem = replace(reference_problem(intervals=64),
@@ -151,30 +159,42 @@ def assert_matches_march(problem):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+# rows of the last chunk: one-row chunks at 1 and 2 steps; 16-row chunks
+# at 1039..1041, the last one short by one, whole, and a single row
+LAST_CHUNK_ROWS = {1: 1, 2: 1, 1039: 15, 1040: 16, 1041: 1}
+
+
 class TestBlockedMarch:
-    """The blocked separable solve against the per-step march it replaced."""
+    """The chunked separable solve against the per-step march it replaced."""
 
     def test_time_varying_coefficients(self):
         assert_matches_march(time_varying_problem(2**12))
 
+    def test_time_varying_coefficients_at_reconstruct_grid(self):
+        assert_matches_march(time_varying_problem(2**15))
+
     def test_constant_coefficients(self):
         assert_matches_march(reference_problem())
 
-    @pytest.mark.parametrize("intervals", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1])
-    def test_grids_up_to_one_block(self, intervals):
+    @pytest.mark.parametrize("intervals", sorted(LAST_CHUNK_ROWS))
+    def test_grids_at_chunk_edges(self, intervals):
+        b = _chunk_rows(intervals)
+        assert intervals - b * ((intervals - 1) // b) == LAST_CHUNK_ROWS[intervals]
         assert_matches_march(time_varying_problem(intervals))
 
     def test_partial_last_block(self):
         intervals = 2**11 + 37
-        assert intervals % BLOCK != 0
+        assert intervals % _chunk_rows(intervals) != 0
         assert_matches_march(time_varying_problem(intervals))
 
     def test_block_decay_underflows(self):
+        # e^{-64^2 h} is about 1e-111, but its power over one chunk is 0
         envelope = SineSeries({n: 1.0 / n**3 for n in range(1, 65)})
         problem = VolterraProblem(envelope.at_x(1.0), build_kernel(envelope, 1.0, 64),
-                                  SlowFunction.constant(1.0), 2.0, 128)
+                                  SlowFunction.constant(1.0), 8.0, 128)
         h = problem.horizon / problem.intervals
-        assert math.exp(-64.0**2 * h * BLOCK) == 0.0
+        assert math.exp(-64.0**2 * h) > 0.0
+        assert math.exp(-64.0**2 * h * _chunk_rows(problem.intervals)) == 0.0
         assert_matches_march(problem)
 
     def test_singular_step_named_like_march(self):
@@ -182,11 +202,11 @@ class TestBlockedMarch:
         kernel = Kernel(((1, SlowFunction.monomial(-128.0 / 3.0, 1)),))
         problem = VolterraProblem(SlowFunction.constant(1.0), kernel,
                                   SlowFunction.constant(1.0), 4.0, 256)
-        with pytest.raises(SingularEquationError) as blocked:
+        with pytest.raises(SingularEquationError) as chunked:
             solve(problem)
         with pytest.raises(SingularEquationError) as stepped:
             march_separable(problem)
-        assert str(blocked.value) == str(stepped.value) == "singular step at t = 3"
+        assert str(chunked.value) == str(stepped.value) == "singular step at t = 3"
 
 
 class TestConvergenceOrder:
