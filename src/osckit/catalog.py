@@ -44,10 +44,6 @@ SERIES_HORIZON = 4.0  # symbolic series regime: |rate + decay| <= 1/4
 # 40 terms keep about 1e-13 of the integral's size up to |lam| t = 4.
 NUMERIC_TERMS = 20
 SYMBOLIC_TERMS = 40
-# numpy's complex exp of x + iy rescales past x = 709, and exp(x) is 0 below
-# -745; there e^x times e^{iy} has other bits (or a zero of the other sign),
-# so a shared phase is used only while |x| <= SPLIT_LIMIT
-SPLIT_LIMIT = 700.0
 
 
 class CatalogError(ValueError):
@@ -570,8 +566,8 @@ def _duhamel_symbolic(g: SlowFunction, decay: float) -> SlowFunction:
 
 
 def _decay_exponential(decay, t) -> np.ndarray:
-    """``e^{-decay t}`` as the moments use it: complex, also for real ``decay``."""
-    return np.exp(-complex(decay) * np.asarray(t, dtype=float))
+    """``e^{-decay t}`` by the rule of ``_rate_exponential``: real for a real ``decay``."""
+    return _rate_exponential(-complex(decay), t)
 
 
 def _phase_exponential(frequency: float, t) -> np.ndarray:
@@ -579,21 +575,20 @@ def _phase_exponential(frequency: float, t) -> np.ndarray:
     return np.exp(complex(0.0, frequency) * np.asarray(t, dtype=float))
 
 
-def _rate_exponential(rate, t, phase=None, t_max: float = math.inf) -> np.ndarray:
-    """``e^{rate t}`` as the moments use it, the bits of ``np.exp(rate * t)``.
+def _rate_exponential(rate, t, phase=None) -> np.ndarray:
+    """``e^{rate t}`` as the moments use it: numpy's real ``np.exp(rate.real * t)``.
 
-    ``phase``, if given, must be ``_phase_exponential(rate.imag, t)`` and
-    ``t_max`` at least ``max |t|``.  Where ``|rate.real| t_max <=
-    SPLIT_LIMIT`` the result is then ``e^{rate.real t}`` times ``phase``:
-    numpy's complex exp returns ``exp(x) cos y + i exp(x) sin y``, and
-    ``exp(x) + 0i`` for ``y = 0``, so the product has the same bits at every
-    ``t != 0`` and the costly ``sincos`` is not repeated.
+    Where ``rate.imag != 0`` that is multiplied by the phase ``e^{i rate.imag
+    t}``, which is ``phase`` if given (it must be ``_phase_exponential(
+    rate.imag, t)``); only the phase pays for a complex exp.  Past ``rate.real
+    t = 709.78`` the real factor is inf, and so is the product.
     """
     rate = complex(rate)
     arr = np.asarray(t, dtype=float)
-    if phase is None or abs(rate.real) * t_max > SPLIT_LIMIT:
-        return np.exp(rate * arr)
-    return np.exp(complex(rate.real) * arr) * phase
+    out = np.exp(rate.real * arr)
+    if not rate.imag:
+        return out
+    return out * (_phase_exponential(rate.imag, arr) if phase is None else phase)
 
 
 def _series_sum(power: int, lam: complex, ts: np.ndarray) -> np.ndarray:
@@ -621,8 +616,9 @@ def exp_kernel_moment(power: int, rate: complex, decay: complex, t, *,
     power series takes over where ``0 < |rate + decay| * t <= 1`` so the
     near-resonant regime loses no digits to cancellation.  At ``t = 0`` the
     integral is exactly ``0j`` and no terms are summed.  ``e_decay`` and
-    ``e_rate``, if given, must have the bits of ``np.exp(-complex(decay) *
-    t)`` and ``np.exp(complex(rate) * t)``; callers taking several moments
+    ``e_rate``, if given, must be ``_decay_exponential(decay, t)`` and
+    ``_rate_exponential(rate, t)``: real exps of the real parts, times a
+    phase where there is an imaginary part.  Callers taking several moments
     of one decay or one rate pass them to form each once.
     """
     arr = np.asarray(t, dtype=float)
@@ -668,18 +664,17 @@ def duhamel_oscillatory(n: int, g, frequency: float, t, *, e_decay=None, phase=N
     sin-modulated one.  ``g`` may also be a tuple of SlowFunctions under the
     same modulation; the result is then the tuple of their integrals, and a
     (power, rate) term they share has its moment computed once.  All
-    moments of one call share one ``e^{-n^2 t}``; ``e_decay``, if given,
-    must be ``_decay_exponential(n^2, t)``.  ``phase``, if given, must be
-    ``_phase_exponential(frequency, t)``; each distinct term rate ``r``
-    then takes its ``e^{(r + i frequency) t}`` as ``e^{r t}`` times that
-    phase (``_rate_exponential``).
+    moments of one call share one real ``e^{-n^2 t}``; ``e_decay``, if
+    given, must be ``_decay_exponential(n^2, t)``.  ``phase``, if given, must
+    be ``_phase_exponential(frequency, t)``; each distinct term rate ``r``
+    then takes its ``e^{(r + i frequency) t}`` once, as the real ``e^{r t}``
+    times that phase (``_rate_exponential``).
     """
     n2 = float(n) * float(n)
     arr = np.asarray(t, dtype=float)
     single = isinstance(g, SlowFunction)
     if e_decay is None:
         e_decay = _decay_exponential(n2, arr)
-    t_max = math.inf if phase is None else float(np.max(np.abs(arr)))
     e_rates = {}
     moments = {}
     outs = []
@@ -689,7 +684,7 @@ def duhamel_oscillatory(n: int, g, frequency: float, t, *, e_decay=None, phase=N
             if (m, rate) not in moments:
                 full = rate + 1j * frequency
                 if phase is not None and rate not in e_rates:
-                    e_rates[rate] = _rate_exponential(full, arr, phase, t_max)
+                    e_rates[rate] = _rate_exponential(full, arr, phase)
                 moments[m, rate] = exp_kernel_moment(m, full, n2, arr, e_decay=e_decay,
                                                      e_rate=e_rates.get(rate))
             out = out + c * moments[m, rate]

@@ -13,7 +13,7 @@ systems, a gauge ``r0(t0) = 1``, and a window-consistency condition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -273,13 +273,9 @@ def recover_time_factor(obs: TraceObservation, envelope: SineSeries,
             f"(min {g_min:.2e})"
         )
     kernel = build_kernel(envelope, obs.x0, n_max)
-    problem = VolterraProblem(
-        diagonal=g,
-        kernel=kernel,
-        rhs=_trace_rhs(obs.leading, np.linspace(0.0, obs.horizon, intervals + 1)),
-        horizon=obs.horizon,
-        intervals=intervals,
-    )
+    # the problem checks horizon and intervals before its grid is sampled
+    problem = VolterraProblem(g, kernel, SlowFunction.zero(), obs.horizon, intervals)
+    problem = replace(problem, rhs=_trace_rhs(obs.leading, problem.grid()))
     return TimeFactorRecovery(
         solve(problem),
         _oscillation(obs.oscillating, g),

@@ -13,7 +13,9 @@ time, as the reference for the chunked solver, and the two-term remainder
 norm in its one-shot form, the whole resolving grid in one synthesis, as the
 reference for the blocked ``residual_norm``; the exponential moment keeps its
 40-term series and its gather/scatter branches, one bool mask per regime, as
-the reference for ``catalog.exp_kernel_moment``.
+the reference for ``catalog.exp_kernel_moment``; it forms its own exponentials,
+a real ``np.exp`` of the real exponent times a phase where there is an
+imaginary part.
 
 The last helpers are conveniences over library paths that only the tests
 need: one mode's amplitude, a rate shift, a resolvent built from a Volterra
@@ -161,6 +163,12 @@ def _moment_terms_40(power: int, lam, series: bool):
     return out + [(-a, 0, b, False)]
 
 
+def split_exponential(z: complex, t) -> np.ndarray:
+    """``e^{z t}``: real ``np.exp`` of the real part, times ``e^{i z.imag t}`` if nonzero."""
+    out = np.exp(z.real * t)
+    return out * np.exp(1j * z.imag * t) if z.imag else out
+
+
 def exp_kernel_moment_40(power: int, rate: complex, decay: complex, t) -> np.ndarray:
     """``integral_0^t e^{-decay (t-s)} s^power e^{rate s} ds``, 40-term series."""
     arr = np.asarray(t, dtype=float)
@@ -174,13 +182,13 @@ def exp_kernel_moment_40(power: int, rate: complex, decay: complex, t) -> np.nda
     if small.any():
         ts = arr[small]
         acc = sum(a * ts ** k / b for a, k, b, _ in _moment_terms_40(power, lam, True))
-        out[small] = np.exp(-complex(decay) * ts) * acc
+        out[small] = split_exponential(-complex(decay), ts) * acc
 
     big = ~series
     if big.any():
         tb = arr[big]
-        e_rate = np.exp(complex(rate) * tb)
-        e_decay = np.exp(-complex(decay) * tb)
+        e_rate = split_exponential(complex(rate), tb)
+        e_decay = split_exponential(-complex(decay), tb)
         *parts, (a0, _, b0, _) = _moment_terms_40(power, lam, False)
         poly = sum(a * tb ** k / b for a, k, b, _ in parts)
         out[big] = poly * e_rate + a0 / b0 * e_decay

@@ -444,6 +444,18 @@ class TestExpKernelMomentWholeAxis:
                 want = exp_kernel_moment_40(power, rate, decay, t)
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
+    def test_overflowing_rate_is_not_finite(self):
+        # e^{400 t} overflows past t = 709.78 / 400 = 1.77: only the node t = 2
+        t = np.linspace(0.0, 2.0, 9)
+        g = SlowFunction.monomial(1.0, 0, 400.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            moments = [exp_kernel_moment(0, 400.0 + 1e4j, 1.0, t),
+                       duhamel_oscillatory(1, g, 1e4, t),
+                       duhamel_oscillatory(1, g, 1e4, t, phase=catalog._phase_exponential(1e4, t))]
+        for got in moments:
+            assert np.all(np.isfinite(got[:-1]))
+            assert not np.isfinite(got[-1].real) and not np.isfinite(got[-1].imag)
+
 
 # ---------------------------------------------------------------------------
 # grid functions

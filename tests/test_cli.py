@@ -33,13 +33,13 @@ from _oracles import exp_kernel_moment_40
 PINNED_NUMPY = "2.4.6"
 BUILTIN_REPORT_SHA256 = {
     "golden": "b211adb5c19fc49290eb3a6c1524e61fc9cfcc4da53099a0f4eee7c25563ed0f",
-    "golden-convergence": "2e7555c24b4f47917d48cf64aca136f8eea6c8d336fa68be205675cdfd7e02ab",
-    "golden-forward": "8d8ae85f37ece36eed6365b1976e4e0ce12f0975b77782b67a8dca0cf4dc840c",
+    "golden-convergence": "ad137b14125605963c6da28e9a6815ee755f52fc6270fd1d87e3bbbfab9b8078",
+    "golden-forward": "8b01bbb06383f7f447af57bb8ffbde6bde82a4c30776ce327159700af9c56761",
 }
 BUILTIN_CSV_SHA256 = {
     "golden": "8e931ad13cc8cf9141350a8cf4c11aa7c5291ec03c0a7aa71e570555a785d0ac",
-    "golden-convergence": "ac16549455f5a64f9e907dc366aedab4ddeba96f4a15ccf905d6c31bf5d472b1",
-    "golden-forward": "f3b0fb2649f9a3abd3730022712c37b31c03f6642961a30512ff8ed47c6ab8be",
+    "golden-convergence": "a7462c67f3f227bcb0ba5ae0c09b7cb824e9d94d7ae53f10759ac55202464efe",
+    "golden-forward": "90a9346b288d1bdb2c3d637a445a6cb20506d9a619389ef3a9c00c4d3caddbf8",
 }
 
 
@@ -472,7 +472,7 @@ class TestEmit:
 
         texts = reports()
 
-        # the oracle forms its own complex exponentials, so the shared ones of
+        # the oracle forms its own exponentials, so the shared ones of
         # the forward and resolvent paths are checked end to end
         def oracle(power, rate, decay, t, e_decay=None, e_rate=None):
             return exp_kernel_moment_40(power, rate, decay, t)

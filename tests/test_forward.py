@@ -210,7 +210,7 @@ class TestSolveHeat:
     }
 
     def test_shared_moments_keep_per_part_bytes(self):
-        # each part alone forms its own decay and complex rate exponentials
+        # each part alone forms its own decay and rate exponentials
         for case, (envelope, oscillation, omega, t) in self.SHARED_CASES.items():
             problem = HeatProblem(envelope, SourceFactor(LINEAR_MEAN, oscillation), omega, 1.0)
             modes = problem.active_modes

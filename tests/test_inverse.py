@@ -251,6 +251,13 @@ class TestRecoverTimeFactor:
         with pytest.raises(ValueError, match=match):
             TraceObservation(math.pi / 2.0, samples, PHI2, horizon=2.0)
 
+    @pytest.mark.parametrize("intervals", [0, -1, 2.5, True])
+    def test_bad_intervals_rejected(self, intervals):
+        # the ValueError of VolterraProblem, before the rhs grid is built
+        obs = TraceObservation(math.pi / 2.0, PHI0, PHI2, horizon=2.0)
+        with pytest.raises(ValueError, match="intervals"):
+            recover_time_factor(obs, ENVELOPE, n_max=4, intervals=intervals)
+
     def test_vanishing_envelope_trace_rejected(self):
         with pytest.raises(ValueError, match="bounded away"):
             obs = TraceObservation(math.pi / 2.0, PHI0, PHI2, horizon=2.0)

@@ -4,6 +4,7 @@ Volterra march."""
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +32,7 @@ from _oracles import exp_kernel_moment_40, march_separable, times_exp
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 T = np.linspace(0.0, 2.0, 65)
+EPS = float(np.finfo(float).eps)
 
 # rates near 0 and near -n^2 exercise the series branch of the symbolic routine
 small = st.builds(lambda mag, sign: sign * 10.0**mag,
@@ -124,7 +126,7 @@ def shared_exponentials(rate, decay, t, shared):
     keywords = {"e_decay": _decay_exponential(decay, t)}
     if shared == "phase":
         phase = _phase_exponential(complex(rate).imag, t)
-        keywords["e_rate"] = _rate_exponential(rate, t, phase, float(np.max(np.abs(t))))
+        keywords["e_rate"] = _rate_exponential(rate, t, phase)
     return keywords
 
 
@@ -146,21 +148,61 @@ frequencies = st.builds(lambda e, sign: sign * 10.0 ** e, st.floats(0.0, 8.0), s
 slow_rates = st.one_of(st.floats(-5.0, 5.0), st.just(0.0))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(slow_rates, frequencies, st.floats(1e-3, 760.0), st.integers(1, 40000),
-       st.integers(0, 2**32 - 1))
-def test_phase_times_real_exponential_is_the_complex_exponential(g, w, reach, size, seed):
-    # unsorted t > 0 with |g| max(t) up to 760: past SPLIT_LIMIT the plain
-    # complex exponential is taken, and 40000 nodes pass numpy's 256 KiB
-    # temporary-elision size
-    horizon = reach / max(abs(g), 0.1)
+@st.composite
+def split_grids(draw):
+    """``(g, w, t)``: unsorted t > 0 with ``|g| max(t)`` up to 760, past the
+    overflow of ``e^{g t}`` at 709.78; 40000 nodes pass numpy's 256 KiB
+    temporary-elision size."""
+    g, w = draw(slow_rates), draw(frequencies)
+    horizon = draw(st.floats(1e-3, 760.0)) / max(abs(g), 0.1)
+    size, seed = draw(st.integers(1, 40000)), draw(st.integers(0, 2**32 - 1))
     t = np.random.default_rng(seed).uniform(0.0, horizon, size)
     t[t == 0.0] = horizon
-    rate = complex(g, w)
-    with np.errstate(over="ignore"):  # e^{g t} overflows past g t = 709.78
-        got = _rate_exponential(rate, t, _phase_exponential(w, t), float(np.max(t)))
-        want = np.exp(rate * t)
-    assert got.tobytes() == want.tobytes()  # signed zeros too
+    return g, w, t
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(split_grids())
+def test_rate_exponential_is_real_exponential_times_phase(case):
+    g, w, t = case
+    with np.errstate(over="ignore"):
+        want = np.exp(g * t) * np.exp(1j * w * t)
+        for phase in (None, _phase_exponential(w, t)):
+            got = _rate_exponential(complex(g, w), t, phase)
+            assert got.tobytes() == want.tobytes()  # signed zeros too
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(split_grids())
+def test_rate_exponential_within_two_ulp_of_complex_exponential(case):
+    g, w, t = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _rate_exponential(complex(g, w), t, _phase_exponential(w, t))
+        want = np.exp(complex(g, w) * t)
+        ulp = np.spacing(np.exp(g * t))
+    finite = np.isfinite(got) & np.isfinite(want)
+    for part in (np.real, np.imag):
+        assert np.all(np.abs(part(got) - part(want))[finite] <= 2.0 * ulp[finite])
+
+
+@PROPERTY
+@given(st.integers(0, 3), st.floats(-5.0, 5.0),
+       st.one_of(st.just(0.0), st.builds(lambda e, sign: sign * 10.0 ** e,
+                                         st.floats(0.0, 6.0), signs)),
+       st.integers(1, 63), st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=4))
+def test_moment_matches_mpmath(power, rate, frequency, n, nodes):
+    # Kummer's form of the integral, as in bench/workloads._mp_moment:
+    # e^{-d t} t^(p+1)/(p+1) 1F1(p+1; p+2; (rate + d) t).  Rounding w t to a
+    # double moves the phase by up to eps |w| t / 2, so that is allowed for.
+    decay, t = float(n * n), np.array(nodes)
+    got = exp_kernel_moment(power, complex(rate, frequency), decay, t)
+    with mp.workdps(40):
+        for tj, value in zip(nodes, got):
+            s = mp.mpf(tj)
+            want = (mp.exp(-decay * s) * s ** (power + 1) / (power + 1)
+                    * mp.hyp1f1(power + 1, power + 2, (mp.mpc(rate, frequency) + decay) * s))
+            error = float(abs(mp.mpc(value) - want) / abs(want))
+            assert error <= 1e-14 + 2.0 * EPS * abs(frequency) * tj
 
 
 coefficients = st.floats(-5.0, 5.0)
