@@ -14,7 +14,6 @@ from .catalog import (
     CatalogError,
     FastProfile,
     GridFunction,
-    SampledSeries,
     SineSeries,
     SlowFunction,
     SourceFactor,
@@ -84,7 +83,6 @@ __all__ = [
     "SineSeries",
     "SourceFactor",
     "GridFunction",
-    "SampledSeries",
     "sine_coefficients",
     "duhamel_weight",
     "duhamel_oscillatory",

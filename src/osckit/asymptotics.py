@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import (
-    CatalogError,
     FastProfile,
     SineSeries,
     SlowFunction,
@@ -163,9 +162,6 @@ class TwoTermExpansion:
 
     @classmethod
     def for_problem(cls, problem: HeatProblem) -> "TwoTermExpansion":
-        if not isinstance(problem.envelope, SineSeries):
-            raise CatalogError("the two-term expansion needs a catalog envelope, "
-                               f"not {type(problem.envelope).__name__}")
         return cls.build(problem.envelope, problem.factor.mean,
                          problem.factor.oscillation, problem.n_max)
 

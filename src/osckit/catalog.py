@@ -6,8 +6,8 @@ with slow amplitudes; spatial envelopes are finite sine series on
 ``[0, pi]``.  The catalog is closed under termwise calculus, products, and
 Duhamel convolution against ``e^{-n^2 (t-s)}``, so every time integral the
 solvers need is evaluated in closed form instead of by time stepping.
-Sampled data ``f(x, t)`` stays outside the catalog as ``SampledSeries``,
-whose sine coefficients come from quadrature.
+A sampled profile ``f(x)`` enters only through ``sine_coefficients``, whose
+quadrature turns it into catalog constants.
 
 Each such integral is ``int_0^t e^{-d (t-s)} s^m e^{r s} ds``, taken by parts
 or, where ``|r + d| t <= 1``, as a power series; symbolic results (no t)
@@ -29,7 +29,6 @@ __all__ = [
     "SineSeries",
     "SourceFactor",
     "GridFunction",
-    "SampledSeries",
     "sine_coefficients",
     "duhamel_weight",
     "duhamel_oscillatory",
@@ -298,8 +297,8 @@ class FastProfile:
 class SineSeries:
     """``u(x, t) = sum_{n>=1} c_n(t) sin(n x)`` with catalog coefficients.
 
-    Coefficients are SlowFunctions (constants are wrapped); anything else
-    raises ``CatalogError``.  Sampled data belongs in ``SampledSeries``.
+    Coefficients are SlowFunctions (constants are wrapped); anything else,
+    a sampled callable included, raises ``CatalogError``.
     """
 
     __slots__ = ("modes",)
@@ -415,35 +414,24 @@ class GridFunction:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def interp(self, point: float) -> float:
-        """Linear interpolation, 1-D grids only."""
-        if len(self.axes) != 1:
-            raise ValueError("interp is defined for 1-D grid functions")
-        return float(np.interp(point, self.axes[0], self.values))
-
 
 # ---------------------------------------------------------------------------
 # sine coefficients by composite Gauss-Legendre quadrature
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _legendre(points: int):
-    return np.polynomial.legendre.leggauss(points)
+def _legendre16():
+    return np.polynomial.legendre.leggauss(16)
 
 
-def _gauss_nodes(lo: float, hi: float, panels: int, points: int):
-    """Composite ``points``-point Gauss-Legendre on ``panels`` equal panels of [lo, hi]."""
-    ref_x, ref_w = _legendre(points)
-    edges = np.linspace(lo, hi, panels + 1)
+def _coefficients_once(sample, n_max: int, panels: int) -> np.ndarray:
+    """One pass of 16-point Gauss-Legendre on ``panels`` equal panels of [0, pi]."""
+    ref_x, ref_w = _legendre16()
+    edges = np.linspace(0.0, math.pi, panels + 1)
     half = np.diff(edges) / 2.0
     mid = (edges[:-1] + edges[1:]) / 2.0
     nodes = (mid[:, None] + half[:, None] * ref_x[None, :]).ravel()
     weights = (half[:, None] * ref_w[None, :]).ravel()
-    return nodes, weights
-
-
-def _coefficients_once(sample, n_max: int, panels: int) -> np.ndarray:
-    nodes, weights = _gauss_nodes(0.0, math.pi, panels, 16)
     vals = np.asarray(sample(nodes), dtype=float)
     if vals.shape != nodes.shape:
         raise ValueError("sampled integrand has wrong shape")
@@ -454,70 +442,30 @@ def _coefficients_once(sample, n_max: int, panels: int) -> np.ndarray:
     return (2.0 / math.pi) * sines @ (weights * vals)
 
 
-def _converged_coefficients(sample, n_max: int, quadrature_points: int | None,
-                            tol: float) -> np.ndarray:
-    """Coefficients of ``sample``, panels doubled until two passes agree."""
-    panels = quadrature_points or max(8, n_max)
-    prev = _coefficients_once(sample, n_max, panels)
+def sine_coefficients(func, n_max: int, tol: float = 1e-12) -> SineSeries:
+    """Sine coefficients ``(2/pi) * integral_0^pi f(x) sin(n x) dx``.
+
+    Composite Gauss-Legendre on ``max(8, n_max)`` panels, doubled until two
+    successive passes agree to ``tol``.  ``func`` is a profile of ``x``
+    alone and is called as ``func(x)``; the coefficients are catalog
+    constants.  A time-dependent ``f(x, t)`` is outside the catalog.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    panels = max(8, n_max)
+    prev = _coefficients_once(func, n_max, panels)
     for _ in range(8):
         panels *= 2
-        cur = _coefficients_once(sample, n_max, panels)
+        cur = _coefficients_once(func, n_max, panels)
         gap = float(np.max(np.abs(cur - prev)))
         if gap < tol:
-            return cur
+            return SineSeries({n: c for n, c in zip(range(1, n_max + 1), cur)
+                               if abs(c) > 1e-300})
         prev = cur
     raise ValueError(
         f"sine coefficients did not converge: successive passes agree to "
         f"{gap:.3e} at {panels} panels, tol {tol:.1e}"
     )
-
-
-def sine_coefficients(func, n_max: int, quadrature_points: int | None = None,
-                      tol: float = 1e-12) -> SineSeries:
-    """Sine coefficients ``(2/pi) * integral_0^pi f(x) sin(n x) dx``.
-
-    Composite Gauss-Legendre, with the panel count doubled until two
-    successive passes agree to ``tol``.  ``func`` is a profile of ``x``
-    alone and is called as ``func(x)``; the coefficients are catalog
-    constants.  A time-dependent ``f(x, t)`` is sampled data: use
-    ``SampledSeries``.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    coeffs = _converged_coefficients(func, n_max, quadrature_points, tol)
-    return SineSeries({n: c for n, c in zip(range(1, n_max + 1), coeffs) if abs(c) > 1e-300})
-
-
-@dataclass(frozen=True)
-class SampledSeries:
-    """Sine coefficients of sampled data ``f(x, t)``, modes ``1..n_max``.
-
-    Outside the catalog: only the forward solver's quadrature path accepts
-    it.  ``func`` is called as ``func(x, t)``; each distinct time gets one
-    ``sine_coefficients`` quadrature, which serves every mode.
-    """
-
-    func: object
-    n_max: int
-    quadrature_points: int | None = None
-    tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
-
-    @property
-    def modes(self) -> range:
-        return range(1, self.n_max + 1)
-
-    def table(self, t) -> np.ndarray:
-        """Coefficient values at the times ``t``, shape ``(n_max, len(t))``."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        times, where = np.unique(t, return_inverse=True)
-        rows = [_converged_coefficients(lambda x: self.func(x, ti), self.n_max,
-                                        self.quadrature_points, self.tol)
-                for ti in times.tolist()]
-        return np.reshape(rows, (-1, self.n_max))[where].T.copy()  # C order: one row per mode
 
 
 # ---------------------------------------------------------------------------

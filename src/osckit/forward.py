@@ -4,10 +4,9 @@
     parabolic boundary (t = 0 and x = 0, pi).
 
 Each sine mode obeys ``u_n' = -n^2 u_n + f_n(t) r(t, omega t)`` and is
-integrated by the Duhamel formula.  A catalog envelope (``SineSeries``)
-reduces the oscillatory part to complex-rate exponential moments, so cost
-and accuracy are independent of omega; a sampled one (``SampledSeries``)
-takes a composite-Gauss quadrature that resolves the fast phase.
+integrated by the Duhamel formula.  The envelope is a catalog
+``SineSeries``, which reduces the oscillatory part to complex-rate
+exponential moments, so cost and accuracy are independent of omega.
 """
 
 from __future__ import annotations
@@ -18,13 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import (
-    CatalogError,
     GridFunction,
-    SampledSeries,
     SineSeries,
     SourceFactor,
     _decay_exponential,
-    _gauss_nodes,
     _phase_exponential,
     _require_finite,
     duhamel_oscillatory,
@@ -42,15 +38,15 @@ TAIL_TOL = 1e-9  # mode truncation tail estimate above which solve_heat warns
 class HeatProblem:
     """Forcing data ``envelope(x, t) * factor(t, omega t)`` plus horizon."""
 
-    envelope: SineSeries | SampledSeries
+    envelope: SineSeries
     factor: SourceFactor
     omega: float
     horizon: float
     n_max: int = 32
 
     def __post_init__(self):
-        if not isinstance(self.envelope, (SineSeries, SampledSeries)):
-            raise TypeError(f"envelope {self.envelope!r} is not a SineSeries or SampledSeries")
+        if not isinstance(self.envelope, SineSeries):
+            raise TypeError(f"envelope {self.envelope!r} is not a SineSeries")
         _require_finite(self, "omega", "horizon")
         if self.omega <= 0:
             raise ValueError("omega must be positive")
@@ -71,11 +67,8 @@ def oscillatory_amplitudes(problem: HeatProblem, modes, t: np.ndarray) -> np.nda
     (mode, harmonic, distinct term), so the cos and sin parts of a harmonic
     share the moments of their common terms.  Each harmonic's phase
     ``e^{i k omega t}`` is formed once for all modes, and each mode's
-    ``e^{-n^2 t}`` once for all harmonics.  A sampled envelope raises
-    ``CatalogError``.
+    ``e^{-n^2 t}`` once for all harmonics.
     """
-    if isinstance(problem.envelope, SampledSeries):
-        raise CatalogError("a sampled envelope has no closed-form amplitudes")
     omega = problem.omega
     harmonics = [(k, a, b, _phase_exponential(k * omega, t))
                  for k, a, b in problem.factor.oscillation.harmonics]
@@ -93,51 +86,14 @@ def oscillatory_amplitudes(problem: HeatProblem, modes, t: np.ndarray) -> np.nda
     return out
 
 
-def _amplitudes_quadrature(problem: HeatProblem, modes,
-                           t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exponential-integrator marching with per-panel Gauss quadrature.
-
-    Marches u' = -n^2 u + q for every mode at once on panels no wider than
-    1/32 of a fast period; each panel integral of e^{-n^2 (t_{i+1}-s)} q(s)
-    uses 8-point Gauss-Legendre, for the mean and the oscillatory forcing
-    separately.  ``modes`` are modes of the sampled envelope.
-    """
-    if max(modes, default=0) > problem.envelope.n_max:
-        raise ValueError(f"modes {list(modes)} exceed the sampled n_max {problem.envelope.n_max}")
-    step = 2.0 * math.pi / (32.0 * problem.omega)
-    rows = np.asarray(modes, dtype=int) - 1
-    factor = problem.factor
-    n2 = np.array([float(n * n) for n in modes])[:, None]
-    out = np.zeros((2, len(modes), t.size))
-    u = np.zeros((2, len(modes)))
-    pos = 0.0
-    for idx in np.argsort(t):
-        target = t[idx]
-        span = target - pos
-        if span > 0:
-            panels = max(1, int(math.ceil(span / step)))
-            nodes, weights = _gauss_nodes(pos, target, panels, 8)
-            fn = problem.envelope.table(nodes)[rows]
-            kernel = fn * np.exp(-n2 * (target - nodes)) * weights
-            drive = (factor.mean(nodes), factor.oscillation(nodes, problem.omega * nodes))
-            u = u * np.exp(-n2[:, 0] * span) + np.stack([kernel @ d for d in drive])
-            pos = target
-        out[:, :, idx] = u
-    return out[0], out[1]
-
-
 def mode_amplitudes(problem: HeatProblem, modes,
                     t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and oscillatory Duhamel parts of ``u_n(t)`` for each of ``modes``.
 
     Returns two ``(len(modes), len(t))`` arrays whose sum is ``u_n(t)``: the
     part driven by the mean ``r0`` and the part driven by the oscillation
-    ``r - r0``.  A ``SineSeries`` envelope takes the closed forms; a
-    ``SampledSeries`` takes the marching quadrature, which fills the same
-    two arrays.
+    ``r - r0``.
     """
-    if isinstance(problem.envelope, SampledSeries):
-        return _amplitudes_quadrature(problem, modes, t)
     mean = [duhamel_weight(n, problem.envelope.coefficient(n) * problem.factor.mean, t)
             for n in modes]
     return (np.reshape(mean, (-1, t.size)),

@@ -12,7 +12,6 @@ from osckit.catalog import (
     CatalogError,
     FastProfile,
     GridFunction,
-    SampledSeries,
     SineSeries,
     SlowFunction,
     duhamel_oscillatory,
@@ -20,7 +19,6 @@ from osckit.catalog import (
     duhamel_weight,
     exp_kernel_moment,
     sine_coefficients,
-    sine_synthesis,
 )
 
 from _oracles import (
@@ -237,7 +235,7 @@ class TestSineSeries:
             assert abs(series.coefficient(n)(0.0) - c) < 1e-12
 
     def test_two_argument_profile_rejected(self):
-        # f(x, t) belongs to SampledSeries, never silently sampled
+        # f(x, t) is outside the catalog, never silently sampled at one t
         with pytest.raises(TypeError):
             sine_coefficients(lambda x, t: (1.0 + t) * np.sin(x), 2)
 
@@ -258,43 +256,10 @@ class TestSineSeries:
         for t in (0.0, 0.4, 1.3):
             assert abs(slow(t) - series(x0, t)) < 1e-14
 
-    def test_time_dependent_callable_coefficients(self):
-        series = SampledSeries(lambda x, t: (1.0 + t) * np.sin(x), 2, quadrature_points=16)
-        assert list(series.modes) == [1, 2]
-        table = series.table(np.array([0.0, 0.5]))
-        assert table.shape == (2, 2)
-        assert np.max(np.abs(table - [[1.0, 1.5], [0.0, 0.0]])) < 1e-10
-
     @pytest.mark.parametrize("value", [lambda t: t, "1.0", None])
     def test_sine_series_admits_only_catalog_coefficients(self, value):
         with pytest.raises(CatalogError):
             SineSeries({1: value})
-
-    def test_time_samples_share_one_pass_per_time(self):
-        def profile(x, t):
-            calls.append(t)
-            return (1.0 + t) * np.sin(x) + t * t * np.sin(3 * x)
-
-        x = np.linspace(0.0, math.pi, 9)
-        t = np.array([0.0, 0.25, 0.5, 0.25, 1.0, 0.0])
-        counts = []
-        for n_max in (1, 4, 16):
-            calls = []
-            series = SampledSeries(profile, n_max, quadrature_points=16)
-            table = series.table(t)
-            counts.append(len(calls))
-            assert sorted(set(calls)) == [0.0, 0.25, 0.5, 1.0]
-            assert table.shape == (n_max, t.size)
-            grid = sine_synthesis(x, series.modes, table)
-            for j, tj in enumerate(t):
-                # the same values as one sine_coefficients pass at that time
-                want = sine_coefficients(lambda xs: profile(xs, tj), n_max, 16)
-                for n in range(1, n_max + 1):
-                    assert table[n - 1, j] == want.coefficient(n)(0.0)
-                    assert series.table(tj)[n - 1, 0] == want.coefficient(n)(0.0)
-                column = want.evaluate_grid(x, [0.0])[:, 0]
-                assert np.max(np.abs(grid[:, j] - column)) < 1e-15
-        assert counts[0] == counts[1] == counts[2]
 
     def test_unconverged_coefficients_rejected(self):
         def step(x):
@@ -465,11 +430,6 @@ class TestGridFunction:
     def test_sup_norm(self):
         t = np.linspace(0.0, 1.0, 9)
         assert GridFunction((t,), t**2 - 0.25).sup_norm() == 0.75
-
-    def test_interp_identity_at_nodes(self):
-        t = np.linspace(0.0, 1.0, 5)
-        g = GridFunction((t,), np.sin(t))
-        assert g.interp(t[2]) == math.sin(t[2])
 
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValueError):

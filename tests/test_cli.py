@@ -1,4 +1,4 @@
-"""Scenario parsing, CLI subcommands, report emission, determinism."""
+"""Scenario parsing, CLI subcommands, report emission, determinism, exports."""
 
 import hashlib
 import json
@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import osckit
 from osckit import asymptotics as asy
 from osckit import catalog, volterra
 from osckit.catalog import SlowFunction, SourceFactor, duhamel_weight
@@ -629,3 +630,12 @@ class TestCommandLine:
         assert main(["forward", "--scenario", path, "--out", "-"]) == 1
         assert "osckit: scenario error: unknown parameter 't_cout'" \
             in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", [osckit, osckit.catalog, osckit.forward,
+                                    osckit.asymptotics, osckit.volterra,
+                                    osckit.inverse, osckit.scenarios],
+                         ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []

@@ -1,17 +1,14 @@
 """Forward spectral solver against analytic cases and quadrature oracles."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from osckit import catalog, forward
-from osckit.asymptotics import leading_term, residual_norm
+from osckit.asymptotics import leading_term
 from osckit.catalog import (
-    CatalogError,
     FastProfile,
-    SampledSeries,
     SineSeries,
     SlowFunction,
     SourceFactor,
@@ -39,12 +36,6 @@ def steady(mean, oscillation=None):
 REFERENCE_ENVELOPE = SineSeries({1: 1.0, 2: 1.0})
 LINEAR_MEAN = SlowFunction.monomial(1.0, 1)
 UNIT_SINE_OSC = FastProfile([(1, 0.0, 1.0)])
-
-
-def sampled(problem, n_max):
-    """The same problem with its envelope wrapped as sampled data f(x, t)."""
-    envelope = problem.envelope
-    return replace(problem, envelope=SampledSeries(lambda x, t: envelope(x, t), n_max))
 
 
 class TestSolveMode:
@@ -77,28 +68,8 @@ class TestSolveMode:
                               50.0, 1.0)
         t = np.linspace(0.0, 1.0, 7)
         closed = solve_mode(problem, 1, t)
-        quad = solve_mode(sampled(problem, 2), 1, t)
+        quad = mode_oracle(problem.envelope, problem.factor, 50.0, 1, t)
         assert np.max(np.abs(closed - quad)) < 1e-12
-
-    def test_sampled_envelope_uses_quadrature(self):
-        envelope = SampledSeries(lambda x, t: (1.0 + 0.0 * t) * np.sin(x), 1,
-                                 quadrature_points=16)
-        problem = HeatProblem(envelope, steady(1.0), 10.0, 1.0)
-        got = solve_mode(problem, 1, 0.8)
-        assert abs(got - (1.0 - math.exp(-0.8))) < 1e-9
-
-    def test_sampled_envelope_modes_bounded_by_its_n_max(self):
-        problem = HeatProblem(SampledSeries(lambda x, t: np.sin(x) + 0.0 * t, 2),
-                              steady(1.0), 10.0, 1.0, n_max=4)
-        with pytest.raises(ValueError, match="exceed the sampled n_max 2"):
-            solve_mode(problem, 3, 0.5)
-
-    def test_sampled_envelope_has_no_closed_form(self):
-        problem = sampled(HeatProblem(REFERENCE_ENVELOPE,
-                                      SourceFactor(LINEAR_MEAN, UNIT_SINE_OSC),
-                                      50.0, 1.0), 2)
-        with pytest.raises(CatalogError):
-            residual_norm(problem)
 
 
 class TestSolveHeat:
@@ -260,10 +231,17 @@ class TestModeAmplitudes:
             assert np.array_equal(row, u0.mode_amplitude(n, t))
 
     def test_quadrature_fills_the_same_parts(self):
+        # the resolving oracle, fed the mean and the oscillation apart,
+        # fills the same two arrays as the closed forms
         t = np.linspace(0.0, 1.0, 7)
         modes = [1, 2, 3]
         closed = mode_amplitudes(self.PROBLEM, modes, t)
-        quad = mode_amplitudes(sampled(self.PROBLEM, 3), modes, t)
+        factor = self.PROBLEM.factor
+        parts = (SourceFactor(factor.mean, FastProfile.zero()),
+                 SourceFactor(SlowFunction.zero(), factor.oscillation))
+        quad = [np.array([mode_oracle(REFERENCE_ENVELOPE, part, self.PROBLEM.omega, n, t)
+                          for n in modes])
+                for part in parts]
         for c, q in zip(closed, quad):
             assert c.shape == q.shape == (3, 7)
             assert np.max(np.abs(c - q)) < 1e-12
@@ -308,5 +286,5 @@ class TestProblemValidation:
 
     @pytest.mark.parametrize("envelope", [{1: 1.0}, lambda x, t: np.sin(x), 1.0])
     def test_envelope_of_other_type_rejected(self, envelope):
-        with pytest.raises(TypeError, match="not a SineSeries or SampledSeries"):
+        with pytest.raises(TypeError, match="is not a SineSeries"):
             HeatProblem(envelope, steady(1.0), 10.0, 1.0)
