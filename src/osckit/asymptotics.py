@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import (
+    MOMENT_CHUNK,
     FastProfile,
     SineSeries,
     SlowFunction,
@@ -43,11 +44,11 @@ __all__ = [
 ]
 
 POINTS_PER_PERIOD = 16
-# Node counts of residual_norm's time blocks and synthesis slices.  Blocks
-# are larger because each costs one exp_kernel_moment call per (mode,
-# harmonic, term); a slice is sized for its (x_count, slice) product to stay
-# in cache.
-TIME_BLOCK = 8192
+# Node counts of residual_norm's time blocks and synthesis slices.  A time
+# block is half the moment budget, so the moment batches of a block take its
+# rows two at a time, not one; a slice is sized for its (x_count, slice)
+# product to stay in cache.
+TIME_BLOCK = MOMENT_CHUNK // 2
 SYNTHESIS_SLICE = 1024
 
 

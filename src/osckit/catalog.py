@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -472,9 +473,13 @@ def sine_coefficients(func, n_max: int, tol: float = 1e-12) -> SineSeries:
 # Duhamel convolutions against e^{-n^2 (t - s)}
 # ---------------------------------------------------------------------------
 
-def _series_regime(lam, t):
-    """Where ``int_0^t s^m e^{lam s} ds`` is summed as a power series, not by parts."""
-    return abs(lam) * np.abs(t) <= 1.0
+def _series_regime(sizes, t):
+    """Where ``int_0^t s^m e^{lam s} ds`` is summed as a power series, not by parts.
+
+    That is ``|lam| |t| <= 1``, for each ``|lam|`` of ``sizes`` (rows) and
+    each node of ``t`` (columns).
+    """
+    return np.multiply.outer(sizes, np.abs(t)) <= 1.0
 
 
 def _moment_terms(power: int, lam, series: bool, count: int):
@@ -507,14 +512,64 @@ def _duhamel_symbolic(g: SlowFunction, decay: float) -> SlowFunction:
     out = []
     for c, m, rate in g.terms:
         lam = rate + decay
-        series = _series_regime(lam, SERIES_HORIZON)
+        series = _series_regime(abs(lam), SERIES_HORIZON)
         out += [(c * a / b, k, rate if grows else rest) for a, k, b, grows
                 in _moment_terms(m, lam, series, SYMBOLIC_TERMS)]
     return SlowFunction(out)
 
 
+# A batch of moments is taken a block of rows at a time, each block under
+# MOMENT_CHUNK complex elements (16 B each).  That keeps a block's arrays
+# below 256 KiB, the size from which numpy elides temporaries: it would then
+# multiply complex arrays in place, which can round differently from the
+# one-row call.  It also keeps a whole problem's moments from being live at
+# once.  A row longer than that is a block of its own.
+MOMENT_CHUNK = 2**14 - 1
+
+
+class _Work:
+    """Named work arrays, reused from block to block of a moment batch.
+
+    A block's arrays are up to 256 KiB each.  Allocated afresh for every
+    block, glibc's malloc hands memory of that size back to the system when
+    it is freed and faults it in again for the next block, a few
+    microseconds a page: about 2000 page faults in one ``spectral`` forward
+    solve.  An array asked for again by name reuses the same memory.  The
+    batches use their thread's ``_Work`` (``_work``), which keeps its memory
+    from call to call, about 1 MB, so that a ``ladder`` operation's many
+    short calls do not fault it in again each time.
+    """
+
+    def __init__(self):
+        self._arrays = {}  # name -> its memory, flat
+        self._views = {}  # (name, rows, nodes, dtype) -> a view of that memory
+
+    def __call__(self, name: str, rows: int, nodes: int, dtype=complex) -> np.ndarray:
+        """A ``(rows, nodes)`` array whose values the next call for ``name`` overwrites."""
+        key = (name, rows, nodes, dtype)
+        view = self._views.get(key)
+        if view is None:
+            flat = self._arrays.get(name)
+            if flat is None or flat.size < rows * nodes or flat.dtype != dtype:
+                flat = self._arrays[name] = np.empty(rows * nodes, dtype=dtype)
+                self._views = {k: v for k, v in self._views.items() if k[0] != name}
+            view = self._views[key] = flat[:rows * nodes].reshape(rows, nodes)
+        return view
+
+
+_THREAD = threading.local()
+
+
+def _work() -> _Work:
+    """The calling thread's ``_Work``.  A batch must be done with its arrays
+    before the next batch of the thread starts."""
+    if not hasattr(_THREAD, "work"):
+        _THREAD.work = _Work()
+    return _THREAD.work
+
+
 def _decay_exponential(decay, t) -> np.ndarray:
-    """``e^{-decay t}`` by the rule of ``_rate_exponential``: real for a real ``decay``."""
+    """``e^{-decay t}`` by the rule of ``_rate_exponentials``: real for a real ``decay``."""
     return _rate_exponential(-complex(decay), t)
 
 
@@ -523,80 +578,332 @@ def _phase_exponential(frequency: float, t) -> np.ndarray:
     return np.exp(complex(0.0, frequency) * np.asarray(t, dtype=float))
 
 
-def _rate_exponential(rate, t, phase=None) -> np.ndarray:
-    """``e^{rate t}`` as the moments use it: numpy's real ``np.exp(rate.real * t)``.
+def _rate_exponentials(rates, t, phase=None, work=None) -> np.ndarray:
+    """Rows ``e^{rate t}`` on the 1-D grid ``t`` for ``rates`` of one imaginary part ``w``.
 
-    Where ``rate.imag != 0`` that is multiplied by the phase ``e^{i rate.imag
-    t}``, which is ``phase`` if given (it must be ``_phase_exponential(
-    rate.imag, t)``); only the phase pays for a complex exp.  Past ``rate.real
-    t = 709.78`` the real factor is inf, and so is the product.
+    Each row is numpy's real ``np.exp(rate.real * t)``, times the phase
+    ``e^{i w t}`` where ``w != 0``; that is ``phase`` if given (it must be
+    ``_phase_exponential(w, t)``), and only the phase pays for a complex exp.
+    Past ``rate.real t = 709.78`` the real factor is inf, and so is the
+    product.  The rows are arrays of ``work`` if one is given.
     """
-    rate = complex(rate)
-    arr = np.asarray(t, dtype=float)
-    out = np.exp(rate.real * arr)
-    if not rate.imag:
+    work = _Work() if work is None else work
+    rates = [complex(rate) for rate in rates]
+    shape = (len(rates), t.size)
+    out = np.multiply.outer([rate.real for rate in rates], t,
+                            out=work("real rates", *shape, float))
+    np.exp(out, out=out)  # in place: the same bits as into a new array
+    w = rates[0].imag if rates else 0.0
+    if not w:
         return out
-    return out * (_phase_exponential(rate.imag, arr) if phase is None else phase)
+    return np.multiply(out, _phase_exponential(w, t) if phase is None else phase,
+                       out=work("rates", *shape))
 
 
-def _series_sum(power: int, lam: complex, ts: np.ndarray) -> np.ndarray:
+def _rate_exponential(rate, t, phase=None) -> np.ndarray:
+    """``e^{rate t}`` as the moments use it: one row of ``_rate_exponentials``."""
+    arr = np.asarray(t, dtype=float)
+    return _rate_exponentials([rate], arr.reshape(-1), phase)[0].reshape(arr.shape)[()]
+
+
+def _series_sums(power: int, lams, ts: np.ndarray, owner: np.ndarray) -> np.ndarray:
     """``int_0^t s^power e^{lam s} ds`` at nodes ``ts`` of the series regime.
 
-    The ``NUMERIC_TERMS`` terms are one ``(terms, nodes)`` array, added in
-    term order by ``cumsum`` (``sum(axis=0)`` may add them in another
-    order).  The ``t^2`` row is ``ts * ts``, which is what ``ts ** 2``
-    computes; ``np.power`` with an array exponent rounds it differently.
+    Node ``e`` belongs to the row whose ``lam`` is ``lams[owner[e]]``; all
+    rows have this ``power``.  The ``NUMERIC_TERMS`` terms are one ``(terms,
+    nodes)`` array, added in term order by ``cumsum`` (``sum(axis=0)`` may
+    add them in another order).  The ``t^2`` row is ``ts * ts``, which is
+    what ``ts ** 2`` computes; ``np.power`` with an array exponent rounds it
+    differently.
     """
-    a, k, b, _ = zip(*_moment_terms(power, lam, True, NUMERIC_TERMS))
-    rows = ts ** np.array(k, dtype=float)[:, None]
+    rows = [_moment_terms(power, lam, True, NUMERIC_TERMS) for lam in lams]
+    _, k, b, _ = zip(*rows[0])
+    powers = ts ** np.array(k, dtype=float)[:, None]
     if power <= 1:
-        rows[1 - power] = ts * ts
-    terms = np.array(a)[:, None] * rows / np.array(b, dtype=complex)[:, None]
-    return np.cumsum(terms, axis=0)[-1]
+        powers[1 - power] = ts * ts
+    a = np.array([[term[0] for term in row] for row in rows]).T
+    scaled = a[:, owner] * powers
+    # division and cumsum in place have the bits of new arrays
+    np.divide(scaled, np.array(b, dtype=complex)[:, None], out=scaled)
+    return np.cumsum(scaled, axis=0, out=scaled)[-1]
+
+
+def _moment_block(powers, rates, decays, t, e_decay, phase=None, e_rate=None,
+                  work=None, grid=None) -> np.ndarray:
+    """``integral_0^t e^{-decay (t-s)} s^power e^{rate s} ds`` for a block of rows.
+
+    Row ``i`` is ``(powers[i], rates[i], decays[i])`` on the 1-D grid ``t``;
+    the result has shape ``(rows, t.size)`` and is an array of ``work`` if
+    one is given.  ``e_decay[i]`` must be ``_decay_exponential(decays[i],
+    t)``.  The rates must share one imaginary part ``w``; ``phase``, if
+    given, must be ``_phase_exponential(w, t)``, and each distinct ``(rate,
+    decay)`` forms its ``e^{rate t}`` once with it (``_rate_exponentials``),
+    unless ``e_rate`` gives every row's ``_rate_exponential(rates[i], t)``.
+    ``grid``, if given, must be ``_grid(t)``.
+
+    Each row keeps one rule per node: the by-parts form on the whole axis,
+    then the series nodes and ``t = 0`` (exactly ``+0j``) written over it.
+    A row with no node outside the series regime, as at resonance, forms no
+    ``1/lam^(j+1)`` and no ``e^{rate t}`` at all.  Every element is computed
+    by the same numpy loops whichever rows share the block, so each row has
+    the bits of its one-row block.
+    """
+    work = _Work() if work is None else work
+    span, zeros, top, low = _grid(t) if grid is None else grid
+    lams = [complex(rate) + complex(decay) for rate, decay in zip(rates, decays)]
+    sizes = [abs(lam) for lam in lams]
+    # the series regime, |lam| |t| <= 1 (_series_regime), is every node of a
+    # row where |lam| max|t| <= 1, its t = 0 nodes where |lam| is finite,
+    # and some node t != 0 where |lam| times the least |t| > 0 is at most 1
+    parts = [i for i, size in enumerate(sizes) if not size * top <= 1.0]
+    if len(parts) == len(lams):
+        out = _by_parts(powers, lams, rates, decays, parts, t, e_decay, phase, e_rate, work)
+    else:
+        out = np.zeros((len(lams), t.size), dtype=complex)
+        if parts:
+            out[parts] = _by_parts(powers, lams, rates, decays, parts, t, e_decay[parts],
+                                   phase, e_rate, work)
+    finite = [i for i, size in enumerate(sizes) if math.isfinite(size)]
+    out[np.ix_(finite, zeros) if len(finite) < len(lams) else (slice(None), zeros)] = 0j
+    rows = [i for i, size in enumerate(sizes) if size * low <= 1.0]
+    step = max(1, MOMENT_CHUNK // (2 * NUMERIC_TERMS))  # series nodes at a time
+    for power in sorted({powers[i] for i in rows}):
+        mine = [i for i in rows if powers[i] == power]
+        small = _series_regime([sizes[i] for i in mine], t) & (span > 0.0)
+        owners, nodes = np.nonzero(small)
+        for start in range(0, owners.size, step):
+            owner, node = owners[start:start + step], nodes[start:start + step]
+            sums = _series_sums(power, [lams[i] for i in mine], t[node], owner)
+            owner = np.array(mine)[owner]
+            # named, so numpy never multiplies into a temporary in place
+            weights = e_decay[owner, node]
+            out[owner, node] = weights * sums
+    return out
+
+
+def _grid(t: np.ndarray) -> tuple:
+    """``(|t|, indices of t == 0, max |t|, least |t| > 0)`` of a 1-D grid, for ``_moment_block``."""
+    span = np.abs(t)
+    top = float(np.max(span)) if t.size else 0.0
+    return span, np.flatnonzero(t == 0.0), top, float(span[span > 0.0].min(initial=math.inf))
+
+
+def _by_parts(powers, lams, rates, decays, rows, t, e_decay, phase, e_rate, work):
+    """The by-parts form of ``_moment_block`` for ``rows``, on the whole axis.
+
+    ``e_decay`` holds the decay exponentials of ``rows`` only.  Each row's
+    divisors ``lam^(j+1)``, ``c / d`` and ``a0 / b0`` come from its
+    ``_moment_terms`` as Python scalars.  Term ``j`` is added in one step
+    for the rows of each power that have one, in ``_moment_terms`` order, to
+    a sum that starts at ``+0`` as the one-row sum does, and the ``t^0`` term
+    is one constant; the rows of one power share their numerator ``a t^k``
+    (``t ** 1`` is ``t``, so ``np.power`` runs for ``t^2`` and up only).
+    Rows ordered by power make each step a slice.  Complex products always go
+    to an array that is not an input.
+    """
+    terms = [_moment_terms(powers[i], lams[i], False, NUMERIC_TERMS) for i in rows]
+    degrees = [powers[i] for i in rows]
+    shape = (len(rows), t.size)
+    c, d = zip(*[(row[-2][0], row[-2][2]) for row in terms])
+    constant = (np.array(c) / np.array(d, dtype=complex))[:, None]
+    if max(degrees) == 0:
+        poly = 0 + constant
+    else:
+        poly = work("poly", *shape)
+        poly.fill(0.0)
+        for j in range(max(degrees)):
+            for degree in sorted({degree for degree in degrees if degree > j}, reverse=True):
+                group = [i for i, other in enumerate(degrees) if other == degree]
+                a, k, _, _ = terms[group[0]][j]
+                quotient = np.divide(a * (t if k == 1 else t ** k),
+                                     np.array([terms[i][j][2] for i in group])[:, None],
+                                     out=work("rates", len(group), t.size))
+                _add_rows(poly, group, quotient)
+        poly += constant
+    if e_rate is not None:
+        rate_part = np.reshape(e_rate, (1, -1))
+    else:
+        keys = [(rates[i], decays[i]) for i in rows]
+        shared = list(dict.fromkeys(keys))
+        rate_part = _rate_exponentials([rate for rate, _ in shared], t, phase, work)
+        if len(shared) < len(keys):
+            rate_part = rate_part[[shared.index(key) for key in keys]]
+    # never in place: numpy multiplies a complex array into one of its
+    # operands with other bits than into a new array
+    moments = np.multiply(poly, rate_part, out=work("moments", *shape))
+    # poly is spent, so its array takes the decay part
+    decay_part = np.multiply(np.array([a0 / b0 for *_, (a0, _, b0, _) in terms])[:, None],
+                             e_decay, out=work("poly", *shape))
+    return np.add(moments, decay_part, out=moments)
 
 
 def exp_kernel_moment(power: int, rate: complex, decay: complex, t, *,
                       e_decay=None, e_rate=None) -> np.ndarray:
     """``integral_0^t e^{-decay (t-s)} s^power e^{rate s} ds``.
 
-    Complex-safe and vectorized in t.  Large ``decay`` never enters a bare
-    exponential (only ``e^{rate t}`` and ``e^{-decay t}`` appear), and a
-    power series takes over where ``0 < |rate + decay| * t <= 1`` so the
-    near-resonant regime loses no digits to cancellation.  At ``t = 0`` the
-    integral is exactly ``0j`` and no terms are summed.  ``e_decay`` and
-    ``e_rate``, if given, must be ``_decay_exponential(decay, t)`` and
+    Complex-safe and vectorized in t: the one-row case of the moment batch
+    (``_moment_block``).  Large ``decay`` never enters a bare exponential
+    (only ``e^{rate t}`` and ``e^{-decay t}`` appear), and a power series
+    takes over where ``0 < |rate + decay| * t <= 1`` so the near-resonant
+    regime loses no digits to cancellation.  At ``t = 0`` the integral is
+    exactly ``0j`` and no terms are summed.  ``e_decay`` and ``e_rate``, if
+    given, must be ``_decay_exponential(decay, t)`` and
     ``_rate_exponential(rate, t)``: real exps of the real parts, times a
     phase where there is an imaginary part.  Callers taking several moments
     of one decay or one rate pass them to form each once.
     """
     arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    lam = complex(rate) + complex(decay)
-    e_decay = np.atleast_1d(_decay_exponential(decay, arr) if e_decay is None else e_decay)
+    flat = arr.reshape(-1)
+    if e_decay is None:
+        e_decay = _decay_exponential(decay, flat)
+    out = _moment_block([int(power)], [complex(rate)], [decay], flat,
+                        np.reshape(e_decay, (1, -1)), e_rate=e_rate)[0]
+    return out[0] if arr.ndim == 0 else out.reshape(arr.shape)
 
-    # By parts on the whole axis, then the series nodes and t = 0 (exactly
-    # +0j) overwrite it there; by parts is skipped when no node needs it,
-    # as at resonance, where its 1/lam^(j+1) would divide by zero.
-    series = _series_regime(lam, arr)
-    if np.count_nonzero(series) == arr.size:
-        out = np.zeros(arr.shape, dtype=complex)
+
+def _index(rows: list):
+    """``rows`` as a slice where they are evenly spaced upwards, so indexing takes a view."""
+    step = rows[1] - rows[0] if len(rows) > 1 else 1
+    if rows and step > 0 and rows == list(range(rows[0], rows[-1] + 1, step)):
+        return slice(rows[0], rows[-1] + 1, step)
+    return rows
+
+
+def _add_rows(out: np.ndarray, rows: list, values: np.ndarray, start=False) -> None:
+    """``out[rows] += values``, or ``out[rows] = 0 + values`` if ``start``.
+
+    In place on a view where ``rows`` allow one.
+    """
+    index = _index(rows)
+    if isinstance(index, slice):
+        np.add(0.0 if start else out[index], values, out=out[index])
+    elif start:
+        out[index] = 0.0 + values
     else:
-        *parts, (c, _, d, _), (a0, _, b0, _) = _moment_terms(power, lam, False, NUMERIC_TERMS)
-        # the t^0 term is one constant and x ** 1 is x, so np.power runs
-        # for t^2 and up only; order and numpy loops are those of summing
-        # a * t ** k / b over every term, so the bits are the same
-        poly = sum(a * (arr if k == 1 else arr ** k) / b for a, k, b, _ in parts)
-        poly = poly + c / np.complex128(d)
-        # e_rate is named: numpy would multiply into a temporary exponential
-        # in place, whose complex loop rounds differently on long arrays
-        e_rate = _rate_exponential(rate, arr) if e_rate is None else np.atleast_1d(e_rate)
-        out = poly * e_rate + a0 / b0 * e_decay
-        out[series] = 0j
-    small = series & (arr != 0.0)
-    if np.count_nonzero(small):
-        out[small] = e_decay[small] * _series_sum(power, lam, arr[small])
-    return out[0] if scalar else out
+        out[index] += values
+
+
+def _duhamel_rows(parts, frequency: float, t, decays, e_decays, phase, real=False,
+                  work=None):
+    """Yield ``integral_0^t e^{-d (t-s)} g(s) e^{i frequency s} ds`` for ``parts``, block by block.
+
+    ``parts[j] = (m, g, imag)`` gives integral ``j``: the decay ``d =
+    decays[m]``, whose ``_decay_exponential`` is ``e_decays[m]``, and a
+    SlowFunction ``g``.  Each yield is ``(done, sums)``: the parts of the
+    decays that end in the block, in part order, and their integrals as the
+    rows of ``sums``, a work array the next block overwrites.  The rows are
+    complex, or where ``real`` the real part, or the imaginary part where
+    ``imag`` is set.  A part with no terms is never yielded.  ``phase`` must
+    be ``_phase_exponential(frequency, t)``, or None where ``frequency`` is 0.
+    The blocks use the arrays of ``work``, the thread's (``_work``) by default.
+
+    Every distinct ``(m, power, rate)`` is one moment row, and all rows are
+    taken in blocks of ``_moment_block``, so the cos and sin parts of a
+    harmonic share the moments of their common terms.  Rows are ordered by
+    ``(m, power, rate)``, the order of each ``g``'s terms, and blocks hold
+    whole decays where they fit: each sum then adds ``c * moment`` in term
+    order from ``+0``, as ``out = out + c * moment`` would, and each
+    distinct ``(m, rate)`` of a block forms its ``e^{(rate + i frequency)
+    t}`` once.
+    """
+    keys = sorted({(m, power, rate) for m, g, _ in parts for _, power, rate in g.terms})
+    if not keys:
+        return
+    work = _work() if work is None else work
+    full = {rate: rate + 1j * frequency for _, _, rate in keys}
+    step = max(1, MOMENT_CHUNK // t.size)
+    first, last = {}, {}  # m -> its first and last row
+    for i, (m, _, _) in enumerate(keys):
+        first.setdefault(m, i)
+        last[m] = i
+    bounds = [0]
+    while bounds[-1] < len(keys):
+        start = bounds[-1]
+        stop = min(start + step, len(keys))
+        if stop < len(keys) and first[keys[stop][0]] > start:
+            stop = first[keys[stop][0]]
+        bounds.append(stop)
+    block_of = [block for block in range(len(bounds) - 1)
+                for _ in range(bounds[block], bounds[block + 1])]
+    row = {key: i for i, key in enumerate(keys)}
+    # round r of a block adds the r-th term in that block of each part, so
+    # every part adds its terms in order and no round names a part twice
+    adds = [[] for _ in bounds[1:]]  # per block: (round, part, row, coefficient)
+    ending = [[] for _ in bounds[1:]]  # per block: the parts whose decay ends there
+    used = {}  # row -> its first (round, part)
+    for j, (m, g, imag) in enumerate(parts):
+        rounds = {}
+        for c, power, rate in g.terms:
+            i = row[m, power, rate]
+            rounds[block_of[i]] = rounds.get(block_of[i], -1) + 1
+            adds[block_of[i]].append((rounds[block_of[i]], j, i, -1j * c if imag else c))
+            used[i] = min(used.get(i, (rounds[block_of[i]], j)), (rounds[block_of[i]], j))
+        if g.terms:
+            ending[block_of[last[m]]].append(j)
+    partial = {}  # part -> its sum so far, while its decay spans blocks
+    grid = _grid(t)
+
+    for block, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+        # by power, so _by_parts takes each term on a slice, and within a
+        # power in the order the terms take them, so the terms are a slice too
+        order = sorted(range(start, stop), key=lambda i: (keys[i][1], used[i]))
+        mine = [keys[i] for i in order]
+        position = {i: n for n, i in enumerate(order)}
+        values = _moment_block([power for _, power, _ in mine], [full[rate] for *_, rate in mine],
+                               [decays[m] for m, _, _ in mine], t,
+                               e_decays[_index([m for m, _, _ in mine])], phase, work=work,
+                               grid=grid)
+        here = sorted(adds[block])
+        live = sorted({add[1] for add in here}.union(ending[block]))
+        slot = {j: n for n, j in enumerate(live)}
+        sums = work("sums", len(live), t.size, float if real else complex)
+        carried = partial.keys() & slot.keys()
+        if carried:  # a decay that spans blocks: its parts go on from their sums so far
+            sums.fill(0.0)
+            for j in carried:
+                sums[slot[j]] = partial.pop(j)
+        # the rate exponentials and the decay part are spent: their arrays
+        # take the terms
+        local = _index([position[add[2]] for add in here])
+        if isinstance(local, slice):
+            terms = values[local]
+        else:
+            terms = np.take(values, local, axis=0, out=work("rates", len(here), t.size))
+        terms = np.multiply(np.array([add[3] for add in here], dtype=complex)[:, None], terms,
+                            out=work("poly", len(here), t.size))
+        if real:
+            terms = terms.real
+        lo = 0
+        while lo < len(here):
+            hi = lo + 1
+            while hi < len(here) and here[hi][0] == here[lo][0]:
+                hi += 1
+            rows = [slot[add[1]] for add in here[lo:hi]]
+            if lo or carried:
+                _add_rows(sums, rows, terms[lo:hi])
+            else:  # round 0 starts every sum, from +0 as 0 + c * moment does
+                _add_rows(sums, rows, terms[lo:hi], start=True)
+            lo = hi
+        for j in set(live).difference(ending[block]):
+            partial[j] = sums[slot[j]].copy()
+        yield ending[block], sums[_index([slot[j] for j in ending[block]])]
+
+
+def _duhamel_weights(ns, gs, t: np.ndarray, e_decays=None, work=None) -> np.ndarray:
+    """Rows ``duhamel_weight(n, g, t)``, one per ``n`` of ``ns`` and ``g`` of ``gs``.
+
+    One batch of moments on the 1-D grid ``t``, with the arrays of ``work``
+    if given.  ``e_decays``, if given, must hold each ``n``'s
+    ``_decay_exponential(n^2, t)`` as its rows.
+    """
+    decays = [float(n) * float(n) for n in ns]
+    if e_decays is None:
+        e_decays = np.reshape([_decay_exponential(d, t) for d in decays], (len(decays), t.size))
+    out = np.zeros((len(decays), t.size))
+    for done, sums in _duhamel_rows([(m, g, False) for m, g in enumerate(gs)], 0.0, t, decays,
+                                    e_decays, None, True, work):
+        out[done] = sums
+    return out
 
 
 def duhamel_weight(n: int, g: SlowFunction, t):
@@ -610,33 +917,28 @@ def duhamel_oscillatory(n: int, g, frequency: float, t, *, e_decay=None, phase=N
 
     Real part gives the cos-modulated integral, imaginary part the
     sin-modulated one.  ``g`` may also be a tuple of SlowFunctions under the
-    same modulation; the result is then the tuple of their integrals, and a
-    (power, rate) term they share has its moment computed once.  All
-    moments of one call share one real ``e^{-n^2 t}``; ``e_decay``, if
-    given, must be ``_decay_exponential(n^2, t)``.  ``phase``, if given, must
-    be ``_phase_exponential(frequency, t)``; each distinct term rate ``r``
-    then takes its ``e^{(r + i frequency) t}`` once, as the real ``e^{r t}``
-    times that phase (``_rate_exponential``).
+    same modulation; the result is then the tuple of their integrals.  The
+    moments are one batch (``_duhamel_rows``): a (power, rate) term the
+    parts share has its moment computed once, all moments share one real
+    ``e^{-n^2 t}`` and one phase ``e^{i frequency t}``, and each distinct
+    term rate ``r`` takes its ``e^{(r + i frequency) t}`` once, as the real
+    ``e^{r t}`` times that phase.  ``e_decay`` and ``phase``, if given, must
+    be ``_decay_exponential(n^2, t)`` and ``_phase_exponential(frequency, t)``.
     """
     n2 = float(n) * float(n)
     arr = np.asarray(t, dtype=float)
+    flat = arr.reshape(-1)
     single = isinstance(g, SlowFunction)
+    parts = (g,) if single else tuple(g)
     if e_decay is None:
-        e_decay = _decay_exponential(n2, arr)
-    e_rates = {}
-    moments = {}
-    outs = []
-    for part in (g,) if single else g:
-        out = np.zeros(arr.shape, dtype=complex)
-        for c, m, rate in part.terms:
-            if (m, rate) not in moments:
-                full = rate + 1j * frequency
-                if phase is not None and rate not in e_rates:
-                    e_rates[rate] = _rate_exponential(full, arr, phase)
-                moments[m, rate] = exp_kernel_moment(m, full, n2, arr, e_decay=e_decay,
-                                                     e_rate=e_rates.get(rate))
-            out = out + c * moments[m, rate]
-        outs.append(out)
+        e_decay = _decay_exponential(n2, flat)
+    if phase is None and frequency:
+        phase = _phase_exponential(frequency, flat)
+    out = np.zeros((len(parts), flat.size), dtype=complex)
+    for done, sums in _duhamel_rows([(0, part, False) for part in parts], frequency, flat,
+                                    [n2], np.reshape(e_decay, (1, -1)), phase):
+        out[done] = sums
+    outs = [row.reshape(arr.shape) for row in out]
     return outs[0] if single else tuple(outs)
 
 

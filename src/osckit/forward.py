@@ -20,13 +20,18 @@ from .catalog import (
     GridFunction,
     SineSeries,
     SourceFactor,
+    _add_rows,
     _decay_exponential,
+    _duhamel_rows,
+    _duhamel_weights,
     _phase_exponential,
     _require_finite,
-    duhamel_oscillatory,
-    duhamel_weight,
+    _Work,
+    _work,
     sine_synthesis,
 )
+# stay importable here because bench/spans.py traces these bindings
+from .catalog import duhamel_oscillatory, duhamel_weight  # noqa: F401
 
 __all__ = ["HeatProblem", "mode_amplitudes", "oscillatory_amplitudes", "solve_heat",
            "trace"]
@@ -60,29 +65,46 @@ class HeatProblem:
         return [n for n in self.envelope.modes if n <= self.n_max]
 
 
+def _decay_rows(modes, t: np.ndarray, work: _Work) -> np.ndarray:
+    """One real ``e^{-n^2 t}`` per entry of ``modes``, as the rows of a ``work`` array."""
+    rows = work("decays", len(modes), t.size, float)
+    for row, n in zip(rows, modes):
+        row[...] = _decay_exponential(float(n) * float(n), t)
+    return rows
+
+
 def oscillatory_amplitudes(problem: HeatProblem, modes, t: np.ndarray) -> np.ndarray:
     """Closed-form Duhamel part of ``u_n(t)`` driven by the oscillation ``r - r0``.
 
-    One row per entry of ``modes``; exponential moments are taken once per
-    (mode, harmonic, distinct term), so the cos and sin parts of a harmonic
-    share the moments of their common terms.  Each harmonic's phase
-    ``e^{i k omega t}`` is formed once for all modes, and each mode's
-    ``e^{-n^2 t}`` once for all harmonics.
+    One row per entry of ``modes``.  Each harmonic's moments, for all modes
+    at once, are one batch (``catalog._duhamel_rows``): one moment per
+    (mode, distinct term), shared by the cos and sin parts, one phase
+    ``e^{i k omega t}`` for all of them, and one real ``e^{-n^2 t}`` per mode
+    for every harmonic.  Each row then adds its harmonics' cos and sin parts
+    in order.
     """
-    omega = problem.omega
-    harmonics = [(k, a, b, _phase_exponential(k * omega, t))
-                 for k, a, b in problem.factor.oscillation.harmonics]
+    work = _work()
+    return _oscillatory(problem, modes, t, _decay_rows(modes, t, work), work)
+
+
+def _oscillatory(problem: HeatProblem, modes, t: np.ndarray, e_decays: np.ndarray,
+                 work: _Work) -> np.ndarray:
+    """``oscillatory_amplitudes`` with the decays of ``_decay_rows`` and the arrays of ``work``."""
     out = np.zeros((len(modes), t.size))
-    for row, n in zip(out, modes):
-        fn = problem.envelope.coefficient(n)
-        e_decay = _decay_exponential(float(n) * float(n), t)
-        for k, a, b, phase in harmonics:
-            cos, sin = duhamel_oscillatory(n, (fn * a, fn * b), k * omega, t,
-                                           e_decay=e_decay, phase=phase)
-            if not a.is_zero:
-                row += cos.real
-            if not b.is_zero:
-                row += sin.imag
+    if not modes:
+        return out
+    decays = [float(n) * float(n) for n in modes]
+    envelope = [problem.envelope.coefficient(n) for n in modes]
+    for k, a, b in problem.factor.oscillation.harmonics:
+        frequency = k * problem.omega
+        pieces = [(c, imag) for imag, c in ((False, a), (True, b)) if not c.is_zero]
+        parts = [(m, fn * c, imag) for m, fn in enumerate(envelope) for c, imag in pieces]
+        for done, sums in _duhamel_rows(parts, frequency, t, decays, e_decays,
+                                        _phase_exponential(frequency, t), True, work):
+            # a decay's parts end together: each mode's cos part, then its sin part
+            finished = [parts[j][0] for j in done[::len(pieces)]]
+            for piece in range(len(pieces)) if done else ():
+                _add_rows(out, finished, sums[piece::len(pieces)])
     return out
 
 
@@ -92,12 +114,14 @@ def mode_amplitudes(problem: HeatProblem, modes,
 
     Returns two ``(len(modes), len(t))`` arrays whose sum is ``u_n(t)``: the
     part driven by the mean ``r0`` and the part driven by the oscillation
-    ``r - r0``.
+    ``r - r0``.  The mean's moments are one batch, and both parts share one
+    ``e^{-n^2 t}`` per mode.
     """
-    mean = [duhamel_weight(n, problem.envelope.coefficient(n) * problem.factor.mean, t)
-            for n in modes]
-    return (np.reshape(mean, (-1, t.size)),
-            oscillatory_amplitudes(problem, modes, t))
+    work = _work()
+    e_decays = _decay_rows(modes, t, work)
+    mean = _duhamel_weights(modes, [problem.envelope.coefficient(n) * problem.factor.mean
+                                    for n in modes], t, e_decays, work)
+    return mean, _oscillatory(problem, modes, t, e_decays, work)
 
 
 def _tail_estimate(problem: HeatProblem) -> float:

@@ -18,12 +18,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .asymptotics import InitialLayer
-# sine_coefficients stays importable here because bench/spans.py traces this binding
+# sine_coefficients and duhamel_weight stay importable here because
+# bench/spans.py traces these bindings
 from .catalog import (  # noqa: F401
     FastProfile,
     GridFunction,
     SineSeries,
     SlowFunction,
+    _duhamel_weights,
     _require_finite,
     duhamel_slow,
     duhamel_weight,
@@ -203,7 +205,8 @@ def mode_weight_spectrum(mean: SlowFunction, t0: float, n_max: int = 32,
                          tol: float = WEIGHT_ZERO_TOL) -> ModeWeightSpectrum:
     if t0 <= 0:
         raise ValueError("t0 must be positive")
-    values = tuple(float(duhamel_weight(n, mean, t0)) for n in range(1, n_max + 1))
+    values = tuple(_duhamel_weights(range(1, n_max + 1), [mean] * n_max,
+                                    np.array([float(t0)]))[:, 0].tolist())
     zeros = tuple(n for n, v in enumerate(values, start=1)
                   if abs(v) < tol / (n * n))
     scaled = [n * n * v for n, v in enumerate(values, start=1) if n not in zeros]

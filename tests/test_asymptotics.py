@@ -236,6 +236,12 @@ class TestResidualNorm:
         _, peak_high = self.traced(2e5)
         assert peak_high - peak_low < 8e6
 
+    def test_peak_memory_at_large_omega(self):
+        # the README's figure at omega * T = 2e5 is 6.8 MB; the moment
+        # batches of one block must not add whole-block temporaries to it
+        _, peak = self.traced(2e5)
+        assert peak < 8e6
+
     def test_remainder_scaled_by_omega_squared_settles(self):
         reference = residual_norm(reference_problem(1e4))[1] * 1e4 ** 2
         r2, _ = self.traced(2e5)
@@ -347,14 +353,15 @@ class TestModalRemainder:
 
     @staticmethod
     def count_moments(monkeypatch, problem):
+        # (power, rate, decay) of every moment row the batches take
         calls = []
-        moment = catalog.exp_kernel_moment
+        block = catalog._moment_block
 
-        def counted(power, rate, decay, t, **shared):
-            calls.append((power, rate, decay))
-            return moment(power, rate, decay, t, **shared)
+        def counted(powers, rates, decays, *rest, **work):
+            calls.extend(zip(powers, rates, decays))
+            return block(powers, rates, decays, *rest, **work)
 
-        monkeypatch.setattr(catalog, "exp_kernel_moment", counted)
+        monkeypatch.setattr(catalog, "_moment_block", counted)
         residual_norm(problem)
         monkeypatch.undo()
         return calls

@@ -337,9 +337,9 @@ class TestDuhamel:
         t = np.linspace(0.0, 1.0, 65)
         singles = [duhamel_oscillatory(3, g, 40.0, t) for g in (cos, sin)]
         calls = []
-        moment = catalog.exp_kernel_moment
-        monkeypatch.setattr(catalog, "exp_kernel_moment", lambda *args, **shared:
-                            calls.append(args[:3]) or moment(*args, **shared))
+        block = catalog._moment_block
+        monkeypatch.setattr(catalog, "_moment_block", lambda powers, *args, **work:
+                            calls.extend(powers) or block(powers, *args, **work))
         decays = []
         decay = catalog._decay_exponential
         monkeypatch.setattr(catalog, "_decay_exponential",

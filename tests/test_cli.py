@@ -9,7 +9,7 @@ import pytest
 
 import osckit
 from osckit import asymptotics as asy
-from osckit import catalog, volterra
+from osckit import catalog
 from osckit.catalog import SlowFunction, SourceFactor, duhamel_weight
 from osckit.cli import main
 from osckit.forward import HeatProblem
@@ -473,14 +473,21 @@ class TestEmit:
 
         texts = reports()
 
-        # the oracle forms its own exponentials, so the shared ones of
-        # the forward and resolvent paths are checked end to end
-        def oracle(power, rate, decay, t, e_decay=None, e_rate=None):
-            return exp_kernel_moment_40(power, rate, decay, t)
+        # every moment, of the forward batches and of the resolvent's
+        # one-row calls, is a row of catalog._moment_block; the oracle takes
+        # each row alone and forms its own exponentials, so the shared ones
+        # are checked end to end
+        rows = []
 
-        for module in (catalog, volterra):
-            monkeypatch.setattr(module, "exp_kernel_moment", oracle)
+        def oracle(powers, rates, decays, t, *exponentials, **work):
+            rows.extend(powers)
+            return np.reshape([exp_kernel_moment_40(power, rate, decay, t)
+                               for power, rate, decay in zip(powers, rates, decays)],
+                              (len(powers), t.size))
+
+        monkeypatch.setattr(catalog, "_moment_block", oracle)
         assert reports() == texts
+        assert rows  # the oracle was called, so the comparison checked something
 
     def test_csv_inverse2_envelope_text(self, tmp_path):
         # psi_n = a_n L_n with powers of two a_n, so psi_n / L_n is exactly a_n

@@ -1,6 +1,7 @@
 """Forward spectral solver against analytic cases and quadrature oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,19 +196,35 @@ class TestSolveHeat:
             assert got.tobytes() == want.tobytes(), case
 
     def test_one_phase_per_harmonic_one_decay_per_mode(self, monkeypatch):
-        envelope, oscillation, omega, t = self.SHARED_CASES["spectral"]
-        problem = HeatProblem(envelope, SourceFactor(LINEAR_MEAN, oscillation), omega, 1.0)
-        formed = []
+        formed, rates = [], []
 
         def spied(name, form):
             return lambda arg, t: formed.append((name, arg)) or form(arg, t)
 
-        for module in (forward, catalog):  # catalog's: duhamel_oscillatory forms none
+        for module in (forward, catalog):  # catalog's: the moment batches form neither
             for name in ("_phase_exponential", "_decay_exponential"):
                 monkeypatch.setattr(module, name, spied(name, getattr(module, name)))
-        oscillatory_amplitudes(problem, problem.active_modes, t)
-        assert formed == ([("_phase_exponential", omega * k) for k, _, _ in oscillation.harmonics]
-                          + [("_decay_exponential", float(n * n)) for n in problem.active_modes])
+        form = catalog._rate_exponentials
+        monkeypatch.setattr(catalog, "_rate_exponentials", lambda batch, *args:
+                            rates.extend(np.asarray(batch).tolist()) or form(batch, *args))
+        key = lambda z: (z.real, z.imag)  # noqa: E731
+        # in "small" the cos and sin parts of harmonic 2 share rates across powers
+        for case in ("small", "spectral"):
+            envelope, oscillation, omega, t = self.SHARED_CASES[case]
+            problem = HeatProblem(envelope, SourceFactor(LINEAR_MEAN, oscillation), omega, 1.0)
+            formed.clear()
+            rates.clear()
+            oscillatory_amplitudes(problem, problem.active_modes, t)
+            assert formed == ([("_decay_exponential", float(n * n)) for n in problem.active_modes]
+                              + [("_phase_exponential", omega * k)
+                                 for k, _, _ in oscillation.harmonics])
+            # one e^{(r + i k omega) t} per (mode, harmonic, distinct term rate
+            # r); the decays' own rates -n^2 are the real ones
+            shared = [r + 1j * (k * omega) for n in problem.active_modes
+                      for k, a, b in oscillation.harmonics
+                      for r in {term[2] for c in (a, b)
+                                for term in (envelope.coefficient(n) * c).terms}]
+            assert sorted((r for r in rates if r.imag), key=key) == sorted(shared, key=key)
 
     def test_tail_warning_for_truncated_modes(self):
         envelope = SineSeries({1: 1.0, 40: 0.5})
@@ -218,6 +235,26 @@ class TestSolveHeat:
 
 
 class TestModeAmplitudes:
+    def test_peak_memory_stays_small(self):
+        # spectral-shaped: 48 modes of two-term coefficients, three harmonics,
+        # 513 nodes; its 1056 moments as one complex array would be 8.7 MB
+        envelope = SineSeries({n: SlowFunction([(0.9 / n, 0, 1.2 - 0.1 * n),
+                                                (-0.6 / n, 1, -0.05 * n)])
+                               for n in range(1, 49)})
+        oscillation = FastProfile([(k, SlowFunction([(0.4, 0, 0.5 * k), (-0.3, 1, -1.1)]),
+                                    SlowFunction.monomial(0.7, 0, -0.2 * k)) for k in (1, 2, 3)])
+        problem = HeatProblem(envelope, SourceFactor(LINEAR_MEAN, oscillation), 1e6, 1.0,
+                              n_max=64)
+        t = np.linspace(0.0, 1.0, 513)
+        tracemalloc.start()
+        try:
+            mode_amplitudes(problem, problem.active_modes, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+
     PROBLEM = HeatProblem(REFERENCE_ENVELOPE,
                           SourceFactor(LINEAR_MEAN, FastProfile([(1, 0.4, 1.0)])),
                           50.0, 1.0, n_max=4)

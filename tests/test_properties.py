@@ -9,17 +9,22 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from osckit import catalog
 from osckit.catalog import (
     SERIES_HORIZON,
     FastProfile,
     SineSeries,
     SlowFunction,
+    SourceFactor,
     _decay_exponential,
+    _moment_block,
     _phase_exponential,
     _rate_exponential,
+    duhamel_oscillatory,
     duhamel_slow,
     exp_kernel_moment,
 )
+from osckit.forward import HeatProblem, mode_amplitudes
 from osckit.scenarios import (
     Scenario,
     _json_text,
@@ -141,6 +146,99 @@ def test_moment_matches_40_term_oracle_bit_for_bit(data, power, lam, decay, shar
     assert np.shape(got) == np.shape(want)
     assert np.array_equal(got, want)
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()  # signed zeros too
+
+
+@st.composite
+def moment_rows(draw):
+    """``(powers, rates, decays, t)``: rows of one imaginary part, on one grid.
+
+    Rates are real or complex, decays 0 or n^2; a row may sit exactly on the
+    resonance ``lam = 0`` or have every node in the series regime, and two
+    rows may share a rate and a decay.  Nodes are unsorted with an interior
+    0, on a scale of 1 or of ``1 / |lam|``, or a 25466-node grid; the rates'
+    real parts reach past the overflow of ``e^{g t}``."""
+    frequency = draw(st.sampled_from([0.0, 1.0, -3.0, 1e3, 1e7]))
+    count = draw(st.integers(1, 6))
+    powers, rates, decays = [], [], []
+    for _ in range(count):
+        decay = draw(st.sampled_from([0.0, 1.0, 4.0, 25.0, 2304.0]))
+        real = draw(st.one_of(st.floats(-5.0, 5.0), st.just(-decay),
+                              st.builds(lambda e: 10.0 ** e - decay, st.floats(-12.0, 0.0)),
+                              st.floats(350.0, 400.0)))
+        powers.append(draw(st.integers(0, 3)))
+        rates.append(complex(real, frequency))
+        decays.append(decay)
+    if draw(st.booleans()):  # a second moment of one rate and decay
+        powers.append((powers[0] + 1) % 4)
+        rates.append(rates[0])
+        decays.append(decays[0])
+    if draw(st.integers(0, 9)) == 0:
+        return powers, rates, decays, np.linspace(0.0, 1.0, 25466)
+    size = max(abs(rates[0] + decays[0]), 1e-12)
+    scale = draw(st.sampled_from([1.0 / size, 1.0]))
+    values = draw(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=40))
+    where = draw(st.integers(0, len(values)))
+    return powers, rates, decays, scale * np.array(values[:where] + [0.0] + values[where:])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(moment_rows(), st.booleans())
+def test_moment_block_rows_match_one_row_calls(rows, shared_phase):
+    # a row of the batch has the bytes of its own exp_kernel_moment call,
+    # whichever rows share its block; overflowing rows stay non-finite
+    powers, rates, decays, t = rows
+    w = rates[0].imag
+    phase = _phase_exponential(w, t) if w and shared_phase else None
+    e_decay = np.array([_decay_exponential(d, t) for d in decays])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _moment_block(powers, rates, decays, t, e_decay, phase)
+        for row, power, rate, decay in zip(got, powers, rates, decays):
+            want = exp_kernel_moment(power, rate, decay, t)
+            assert row.tobytes() == want.tobytes()
+            if rate.real * t.max() > 709.79:
+                assert not np.all(np.isfinite(row))
+
+
+slow_parts = st.lists(st.tuples(st.floats(-2.0, 2.0), st.integers(0, 3),
+                                st.sampled_from([0.0, -1.0, 0.5, 2.0])),
+                      min_size=1, max_size=5).map(SlowFunction)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(slow_parts, min_size=1, max_size=3), st.sampled_from([0.0, 7.0, 1e4]),
+       st.integers(1, 6), st.integers(1, 4))
+def test_duhamel_bytes_do_not_depend_on_block_size(parts, frequency, n, rows_per_block):
+    # blocks of a few rows split the terms of one decay across blocks, as a
+    # row longer than the block budget does; the sums keep their bytes
+    t = np.linspace(0.0, 1.5, 97)
+    want = duhamel_oscillatory(n, tuple(parts), frequency, t)
+    budget = catalog.MOMENT_CHUNK
+    try:
+        catalog.MOMENT_CHUNK = rows_per_block * t.size
+        got = duhamel_oscillatory(n, tuple(parts), frequency, t)
+    finally:
+        catalog.MOMENT_CHUNK = budget
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_mode_amplitudes_bytes_do_not_depend_on_block_size():
+    envelope = SineSeries({n: SlowFunction([(0.9 / n, 0, 1.2 - 0.1 * n), (-0.6 / n, 1, -0.05 * n)])
+                           for n in range(1, 9)})
+    oscillation = FastProfile([(k, SlowFunction([(0.4, 0, 0.5 * k), (-0.3, 1, -1.1)]),
+                                SlowFunction.monomial(0.7, 0, -0.2 * k)) for k in (1, 2)])
+    mean = SlowFunction([(1.0, 0, 0.0), (0.5, 1, -0.3)])
+    problem = HeatProblem(envelope, SourceFactor(mean, oscillation), 1e5, 1.0)
+    t = np.linspace(0.0, 1.0, 129)
+    want = mode_amplitudes(problem, problem.active_modes, t)
+    budget = catalog.MOMENT_CHUNK
+    for rows_per_block in (1, 5, 7):
+        try:
+            catalog.MOMENT_CHUNK = rows_per_block * t.size
+            got = mode_amplitudes(problem, problem.active_modes, t)
+        finally:
+            catalog.MOMENT_CHUNK = budget
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 # |w| in [1, 1e8] of either sign; |g| <= 5, exactly 0 included
