@@ -25,6 +25,7 @@ from .catalog import (
     FastProfile,
     SineSeries,
     SlowFunction,
+    _duhamel_weights,
     duhamel_slow,
     duhamel_weight,
     sine_synthesis,
@@ -71,9 +72,10 @@ class LeadingTerm:
         return duhamel_slow(n, self.envelope.coefficient(n) * self.mean)
 
     def evaluate_grid(self, x, t) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        rows = [self.mode_amplitude(n, t) for n in self.modes]
-        return sine_synthesis(x, self.modes, np.reshape(rows, (-1, t.size)))
+        t = np.asarray(t, dtype=float).reshape(-1)
+        modes = self.modes
+        rows = _duhamel_weights(modes, [self.envelope.coefficient(n) * self.mean for n in modes], t)
+        return sine_synthesis(x, modes, rows)
 
     def __call__(self, x, t):
         return float(self.evaluate_grid([x], [t])[0, 0])

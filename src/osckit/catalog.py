@@ -536,8 +536,9 @@ class _Work:
     microseconds a page: about 2000 page faults in one ``spectral`` forward
     solve.  An array asked for again by name reuses the same memory.  The
     batches use their thread's ``_Work`` (``_work``), which keeps its memory
-    from call to call, about 1 MB, so that a ``ladder`` operation's many
-    short calls do not fault it in again each time.
+    from call to call, about 1 MB plus the forward solve's last Duhamel
+    table, so that a ``ladder`` operation's many short calls do not fault it
+    in again each time.
     """
 
     def __init__(self):
@@ -570,7 +571,21 @@ def _work() -> _Work:
 
 def _decay_exponential(decay, t) -> np.ndarray:
     """``e^{-decay t}`` by the rule of ``_rate_exponentials``: real for a real ``decay``."""
-    return _rate_exponential(-complex(decay), t)
+    return _rate_exponentials([-complex(decay)], t)[0]
+
+
+def _decay_rows(decays, t: np.ndarray, work=None) -> np.ndarray:
+    """One ``_decay_exponential(d, t)`` per ``d`` of ``decays``, as the rows of one array.
+
+    The rows are real unless a decay has an imaginary part, and are an array
+    of ``work`` if one is given.
+    """
+    work = _Work() if work is None else work
+    dtype = complex if any(complex(decay).imag for decay in decays) else float
+    rows = work("decays", len(decays), t.size, dtype)
+    for row, decay in zip(rows, decays):
+        row[...] = _decay_exponential(decay, t)
+    return rows
 
 
 def _phase_exponential(frequency: float, t) -> np.ndarray:
@@ -600,12 +615,6 @@ def _rate_exponentials(rates, t, phase=None, work=None) -> np.ndarray:
                        out=work("rates", *shape))
 
 
-def _rate_exponential(rate, t, phase=None) -> np.ndarray:
-    """``e^{rate t}`` as the moments use it: one row of ``_rate_exponentials``."""
-    arr = np.asarray(t, dtype=float)
-    return _rate_exponentials([rate], arr.reshape(-1), phase)[0].reshape(arr.shape)[()]
-
-
 def _series_sums(power: int, lams, ts: np.ndarray, owner: np.ndarray) -> np.ndarray:
     """``int_0^t s^power e^{lam s} ds`` at nodes ``ts`` of the series regime.
 
@@ -628,8 +637,8 @@ def _series_sums(power: int, lams, ts: np.ndarray, owner: np.ndarray) -> np.ndar
     return np.cumsum(scaled, axis=0, out=scaled)[-1]
 
 
-def _moment_block(powers, rates, decays, t, e_decay, phase=None, e_rate=None,
-                  work=None, grid=None) -> np.ndarray:
+def _moment_block(powers, rates, decays, t, e_decay, phase=None, work=None,
+                  grid=None) -> np.ndarray:
     """``integral_0^t e^{-decay (t-s)} s^power e^{rate s} ds`` for a block of rows.
 
     Row ``i`` is ``(powers[i], rates[i], decays[i])`` on the 1-D grid ``t``;
@@ -637,8 +646,7 @@ def _moment_block(powers, rates, decays, t, e_decay, phase=None, e_rate=None,
     one is given.  ``e_decay[i]`` must be ``_decay_exponential(decays[i],
     t)``.  The rates must share one imaginary part ``w``; ``phase``, if
     given, must be ``_phase_exponential(w, t)``, and each distinct ``(rate,
-    decay)`` forms its ``e^{rate t}`` once with it (``_rate_exponentials``),
-    unless ``e_rate`` gives every row's ``_rate_exponential(rates[i], t)``.
+    decay)`` forms its ``e^{rate t}`` once with it (``_rate_exponentials``).
     ``grid``, if given, must be ``_grid(t)``.
 
     Each row keeps one rule per node: the by-parts form on the whole axis,
@@ -657,12 +665,12 @@ def _moment_block(powers, rates, decays, t, e_decay, phase=None, e_rate=None,
     # and some node t != 0 where |lam| times the least |t| > 0 is at most 1
     parts = [i for i, size in enumerate(sizes) if not size * top <= 1.0]
     if len(parts) == len(lams):
-        out = _by_parts(powers, lams, rates, decays, parts, t, e_decay, phase, e_rate, work)
+        out = _by_parts(powers, lams, rates, decays, parts, t, e_decay, phase, work)
     else:
         out = np.zeros((len(lams), t.size), dtype=complex)
         if parts:
             out[parts] = _by_parts(powers, lams, rates, decays, parts, t, e_decay[parts],
-                                   phase, e_rate, work)
+                                   phase, work)
     finite = [i for i, size in enumerate(sizes) if math.isfinite(size)]
     out[np.ix_(finite, zeros) if len(finite) < len(lams) else (slice(None), zeros)] = 0j
     rows = [i for i, size in enumerate(sizes) if size * low <= 1.0]
@@ -688,7 +696,7 @@ def _grid(t: np.ndarray) -> tuple:
     return span, np.flatnonzero(t == 0.0), top, float(span[span > 0.0].min(initial=math.inf))
 
 
-def _by_parts(powers, lams, rates, decays, rows, t, e_decay, phase, e_rate, work):
+def _by_parts(powers, lams, rates, decays, rows, t, e_decay, phase, work):
     """The by-parts form of ``_moment_block`` for ``rows``, on the whole axis.
 
     ``e_decay`` holds the decay exponentials of ``rows`` only.  Each row's
@@ -720,14 +728,11 @@ def _by_parts(powers, lams, rates, decays, rows, t, e_decay, phase, e_rate, work
                                      out=work("rates", len(group), t.size))
                 _add_rows(poly, group, quotient)
         poly += constant
-    if e_rate is not None:
-        rate_part = np.reshape(e_rate, (1, -1))
-    else:
-        keys = [(rates[i], decays[i]) for i in rows]
-        shared = list(dict.fromkeys(keys))
-        rate_part = _rate_exponentials([rate for rate, _ in shared], t, phase, work)
-        if len(shared) < len(keys):
-            rate_part = rate_part[[shared.index(key) for key in keys]]
+    keys = [(rates[i], decays[i]) for i in rows]
+    shared = list(dict.fromkeys(keys))
+    rate_part = _rate_exponentials([rate for rate, _ in shared], t, phase, work)
+    if len(shared) < len(keys):
+        rate_part = rate_part[[shared.index(key) for key in keys]]
     # never in place: numpy multiplies a complex array into one of its
     # operands with other bits than into a new array
     moments = np.multiply(poly, rate_part, out=work("moments", *shape))
@@ -737,8 +742,7 @@ def _by_parts(powers, lams, rates, decays, rows, t, e_decay, phase, e_rate, work
     return np.add(moments, decay_part, out=moments)
 
 
-def exp_kernel_moment(power: int, rate: complex, decay: complex, t, *,
-                      e_decay=None, e_rate=None) -> np.ndarray:
+def exp_kernel_moment(power: int, rate: complex, decay: complex, t) -> np.ndarray:
     """``integral_0^t e^{-decay (t-s)} s^power e^{rate s} ds``.
 
     Complex-safe and vectorized in t: the one-row case of the moment batch
@@ -746,18 +750,12 @@ def exp_kernel_moment(power: int, rate: complex, decay: complex, t, *,
     (only ``e^{rate t}`` and ``e^{-decay t}`` appear), and a power series
     takes over where ``0 < |rate + decay| * t <= 1`` so the near-resonant
     regime loses no digits to cancellation.  At ``t = 0`` the integral is
-    exactly ``0j`` and no terms are summed.  ``e_decay`` and ``e_rate``, if
-    given, must be ``_decay_exponential(decay, t)`` and
-    ``_rate_exponential(rate, t)``: real exps of the real parts, times a
-    phase where there is an imaginary part.  Callers taking several moments
-    of one decay or one rate pass them to form each once.
+    exactly ``0j`` and no terms are summed.
     """
     arr = np.asarray(t, dtype=float)
     flat = arr.reshape(-1)
-    if e_decay is None:
-        e_decay = _decay_exponential(decay, flat)
     out = _moment_block([int(power)], [complex(rate)], [decay], flat,
-                        np.reshape(e_decay, (1, -1)), e_rate=e_rate)[0]
+                        _decay_rows([decay], flat))[0]
     return out[0] if arr.ndim == 0 else out.reshape(arr.shape)
 
 
@@ -769,53 +767,53 @@ def _index(rows: list):
     return rows
 
 
-def _add_rows(out: np.ndarray, rows: list, values: np.ndarray, start=False) -> None:
-    """``out[rows] += values``, or ``out[rows] = 0 + values`` if ``start``.
-
-    In place on a view where ``rows`` allow one.
-    """
+def _add_rows(out: np.ndarray, rows: list, values: np.ndarray) -> None:
+    """``out[rows] += values``, in place on a view where ``rows`` allow one."""
     index = _index(rows)
     if isinstance(index, slice):
-        np.add(0.0 if start else out[index], values, out=out[index])
-    elif start:
-        out[index] = 0.0 + values
+        np.add(out[index], values, out=out[index])
     else:
         out[index] += values
 
 
-def _duhamel_rows(parts, frequency: float, t, decays, e_decays, phase, real=False,
-                  work=None):
-    """Yield ``integral_0^t e^{-d (t-s)} g(s) e^{i frequency s} ds`` for ``parts``, block by block.
+def _duhamel_table(parts, frequency: float, t, decays, e_decays, phase, real=False,
+                   work=None) -> np.ndarray:
+    """``integral_0^t e^{-d (t-s)} g(s) e^{i frequency s} ds`` for ``parts``, one row each.
 
-    ``parts[j] = (m, g, imag)`` gives integral ``j``: the decay ``d =
-    decays[m]``, whose ``_decay_exponential`` is ``e_decays[m]``, and a
-    SlowFunction ``g``.  Each yield is ``(done, sums)``: the parts of the
-    decays that end in the block, in part order, and their integrals as the
-    rows of ``sums``, a work array the next block overwrites.  The rows are
+    ``parts[j] = (m, g, imag)`` gives row ``j``: the decay ``d = decays[m]``,
+    whose ``_decay_exponential`` is ``e_decays[m]``, and a SlowFunction
+    ``g``.  The table has shape ``(len(parts), t.size)``; its rows are
     complex, or where ``real`` the real part, or the imaginary part where
-    ``imag`` is set.  A part with no terms is never yielded.  ``phase`` must
-    be ``_phase_exponential(frequency, t)``, or None where ``frequency`` is 0.
-    The blocks use the arrays of ``work``, the thread's (``_work``) by default.
+    ``imag`` is set.  A part with no terms is a row of zeros.  ``phase``
+    must be ``_phase_exponential(frequency, t)``, or None where
+    ``frequency`` is 0.  The blocks use the arrays of ``work``, the
+    thread's (``_work``) by default.  The table is a new array, or where
+    ``work`` is given one of its arrays, which the next table of ``work``
+    overwrites.
 
     Every distinct ``(m, power, rate)`` is one moment row, and all rows are
-    taken in blocks of ``_moment_block``, so the cos and sin parts of a
-    harmonic share the moments of their common terms.  Rows are ordered by
-    ``(m, power, rate)``, the order of each ``g``'s terms, and blocks hold
-    whole decays where they fit: each sum then adds ``c * moment`` in term
-    order from ``+0``, as ``out = out + c * moment`` would, and each
-    distinct ``(m, rate)`` of a block forms its ``e^{(rate + i frequency)
-    t}`` once.
+    taken in blocks of ``_moment_block``, so parts share the moments of
+    their common terms.  Rows are ordered by ``(m, power, rate)``, the order
+    of each ``g``'s terms, and blocks hold whole decays where they fit, so
+    each distinct ``(m, rate)`` of a block forms its ``e^{(rate + i
+    frequency) t}`` once.  Each row starts at ``+0`` and adds ``c *
+    moment`` in term order, as ``out = out + c * moment`` would, whichever
+    blocks its terms fall in.
     """
+    shape, dtype = (len(parts), t.size), float if real else complex
+    if work is None:
+        out, work = np.zeros(shape, dtype), _work()
+    else:
+        out = work("table", *shape, dtype)
+        out.fill(0.0)
     keys = sorted({(m, power, rate) for m, g, _ in parts for _, power, rate in g.terms})
     if not keys:
-        return
-    work = _work() if work is None else work
+        return out
     full = {rate: rate + 1j * frequency for _, _, rate in keys}
     step = max(1, MOMENT_CHUNK // t.size)
-    first, last = {}, {}  # m -> its first and last row
+    first = {}  # m -> its first row
     for i, (m, _, _) in enumerate(keys):
         first.setdefault(m, i)
-        last[m] = i
     bounds = [0]
     while bounds[-1] < len(keys):
         start = bounds[-1]
@@ -829,7 +827,6 @@ def _duhamel_rows(parts, frequency: float, t, decays, e_decays, phase, real=Fals
     # round r of a block adds the r-th term in that block of each part, so
     # every part adds its terms in order and no round names a part twice
     adds = [[] for _ in bounds[1:]]  # per block: (round, part, row, coefficient)
-    ending = [[] for _ in bounds[1:]]  # per block: the parts whose decay ends there
     used = {}  # row -> its first (round, part)
     for j, (m, g, imag) in enumerate(parts):
         rounds = {}
@@ -838,9 +835,6 @@ def _duhamel_rows(parts, frequency: float, t, decays, e_decays, phase, real=Fals
             rounds[block_of[i]] = rounds.get(block_of[i], -1) + 1
             adds[block_of[i]].append((rounds[block_of[i]], j, i, -1j * c if imag else c))
             used[i] = min(used.get(i, (rounds[block_of[i]], j)), (rounds[block_of[i]], j))
-        if g.terms:
-            ending[block_of[last[m]]].append(j)
-    partial = {}  # part -> its sum so far, while its decay spans blocks
     grid = _grid(t)
 
     for block, (start, stop) in enumerate(zip(bounds, bounds[1:])):
@@ -854,14 +848,6 @@ def _duhamel_rows(parts, frequency: float, t, decays, e_decays, phase, real=Fals
                                e_decays[_index([m for m, _, _ in mine])], phase, work=work,
                                grid=grid)
         here = sorted(adds[block])
-        live = sorted({add[1] for add in here}.union(ending[block]))
-        slot = {j: n for n, j in enumerate(live)}
-        sums = work("sums", len(live), t.size, float if real else complex)
-        carried = partial.keys() & slot.keys()
-        if carried:  # a decay that spans blocks: its parts go on from their sums so far
-            sums.fill(0.0)
-            for j in carried:
-                sums[slot[j]] = partial.pop(j)
         # the rate exponentials and the decay part are spent: their arrays
         # take the terms
         local = _index([position[add[2]] for add in here])
@@ -878,32 +864,23 @@ def _duhamel_rows(parts, frequency: float, t, decays, e_decays, phase, real=Fals
             hi = lo + 1
             while hi < len(here) and here[hi][0] == here[lo][0]:
                 hi += 1
-            rows = [slot[add[1]] for add in here[lo:hi]]
-            if lo or carried:
-                _add_rows(sums, rows, terms[lo:hi])
-            else:  # round 0 starts every sum, from +0 as 0 + c * moment does
-                _add_rows(sums, rows, terms[lo:hi], start=True)
+            _add_rows(out, [add[1] for add in here[lo:hi]], terms[lo:hi])
             lo = hi
-        for j in set(live).difference(ending[block]):
-            partial[j] = sums[slot[j]].copy()
-        yield ending[block], sums[_index([slot[j] for j in ending[block]])]
+    return out
 
 
-def _duhamel_weights(ns, gs, t: np.ndarray, e_decays=None, work=None) -> np.ndarray:
+def _duhamel_weights(ns, gs, t: np.ndarray, e_decays=None) -> np.ndarray:
     """Rows ``duhamel_weight(n, g, t)``, one per ``n`` of ``ns`` and ``g`` of ``gs``.
 
-    One batch of moments on the 1-D grid ``t``, with the arrays of ``work``
-    if given.  ``e_decays``, if given, must hold each ``n``'s
-    ``_decay_exponential(n^2, t)`` as its rows.
+    The real table of one batch (``_duhamel_table``) on the 1-D grid ``t``,
+    a new array.  ``e_decays``, if given, must be ``_decay_rows`` of the
+    ``n^2``.
     """
     decays = [float(n) * float(n) for n in ns]
     if e_decays is None:
-        e_decays = np.reshape([_decay_exponential(d, t) for d in decays], (len(decays), t.size))
-    out = np.zeros((len(decays), t.size))
-    for done, sums in _duhamel_rows([(m, g, False) for m, g in enumerate(gs)], 0.0, t, decays,
-                                    e_decays, None, True, work):
-        out[done] = sums
-    return out
+        e_decays = _decay_rows(decays, t)
+    return _duhamel_table([(m, g, False) for m, g in enumerate(gs)], 0.0, t, decays,
+                          e_decays, None, True)
 
 
 def duhamel_weight(n: int, g: SlowFunction, t):
@@ -912,34 +889,22 @@ def duhamel_weight(n: int, g: SlowFunction, t):
     return float(out) if out.ndim == 0 else out
 
 
-def duhamel_oscillatory(n: int, g, frequency: float, t, *, e_decay=None, phase=None):
+def duhamel_oscillatory(n: int, g: SlowFunction, frequency: float, t):
     """``integral_0^t e^{-n^2 (t-s)} g(s) e^{i * frequency * s} ds`` (complex).
 
     Real part gives the cos-modulated integral, imaginary part the
-    sin-modulated one.  ``g`` may also be a tuple of SlowFunctions under the
-    same modulation; the result is then the tuple of their integrals.  The
-    moments are one batch (``_duhamel_rows``): a (power, rate) term the
-    parts share has its moment computed once, all moments share one real
-    ``e^{-n^2 t}`` and one phase ``e^{i frequency t}``, and each distinct
-    term rate ``r`` takes its ``e^{(r + i frequency) t}`` once, as the real
-    ``e^{r t}`` times that phase.  ``e_decay`` and ``phase``, if given, must
-    be ``_decay_exponential(n^2, t)`` and ``_phase_exponential(frequency, t)``.
+    sin-modulated one.  This is the one-row case of ``_duhamel_table``: all
+    moments share one real ``e^{-n^2 t}`` and one phase ``e^{i frequency
+    t}``, and each distinct term rate ``r`` takes its ``e^{(r + i
+    frequency) t}`` once, as the real ``e^{r t}`` times that phase.
     """
     n2 = float(n) * float(n)
     arr = np.asarray(t, dtype=float)
     flat = arr.reshape(-1)
-    single = isinstance(g, SlowFunction)
-    parts = (g,) if single else tuple(g)
-    if e_decay is None:
-        e_decay = _decay_exponential(n2, flat)
-    if phase is None and frequency:
-        phase = _phase_exponential(frequency, flat)
-    out = np.zeros((len(parts), flat.size), dtype=complex)
-    for done, sums in _duhamel_rows([(0, part, False) for part in parts], frequency, flat,
-                                    [n2], np.reshape(e_decay, (1, -1)), phase):
-        out[done] = sums
-    outs = [row.reshape(arr.shape) for row in out]
-    return outs[0] if single else tuple(outs)
+    phase = _phase_exponential(frequency, flat) if frequency else None
+    table = _duhamel_table([(0, g, False)], frequency, flat, [n2], _decay_rows([n2], flat),
+                           phase)
+    return table[0].reshape(arr.shape)
 
 
 def duhamel_slow(n: int, g: SlowFunction) -> SlowFunction:

@@ -20,9 +20,8 @@ from .catalog import (
     GridFunction,
     SineSeries,
     SourceFactor,
-    _add_rows,
-    _decay_exponential,
-    _duhamel_rows,
+    _decay_rows,
+    _duhamel_table,
     _duhamel_weights,
     _phase_exponential,
     _require_finite,
@@ -65,46 +64,36 @@ class HeatProblem:
         return [n for n in self.envelope.modes if n <= self.n_max]
 
 
-def _decay_rows(modes, t: np.ndarray, work: _Work) -> np.ndarray:
-    """One real ``e^{-n^2 t}`` per entry of ``modes``, as the rows of a ``work`` array."""
-    rows = work("decays", len(modes), t.size, float)
-    for row, n in zip(rows, modes):
-        row[...] = _decay_exponential(float(n) * float(n), t)
-    return rows
-
-
 def oscillatory_amplitudes(problem: HeatProblem, modes, t: np.ndarray) -> np.ndarray:
     """Closed-form Duhamel part of ``u_n(t)`` driven by the oscillation ``r - r0``.
 
     One row per entry of ``modes``.  Each harmonic's moments, for all modes
-    at once, are one batch (``catalog._duhamel_rows``): one moment per
+    at once, are one table (``catalog._duhamel_table``): one moment per
     (mode, distinct term), shared by the cos and sin parts, one phase
     ``e^{i k omega t}`` for all of them, and one real ``e^{-n^2 t}`` per mode
     for every harmonic.  Each row then adds its harmonics' cos and sin parts
     in order.
     """
     work = _work()
-    return _oscillatory(problem, modes, t, _decay_rows(modes, t, work), work)
-
-
-def _oscillatory(problem: HeatProblem, modes, t: np.ndarray, e_decays: np.ndarray,
-                 work: _Work) -> np.ndarray:
-    """``oscillatory_amplitudes`` with the decays of ``_decay_rows`` and the arrays of ``work``."""
-    out = np.zeros((len(modes), t.size))
-    if not modes:
-        return out
     decays = [float(n) * float(n) for n in modes]
+    return _oscillatory(problem, modes, t, decays, _decay_rows(decays, t, work), work)
+
+
+def _oscillatory(problem: HeatProblem, modes, t: np.ndarray, decays, e_decays: np.ndarray,
+                 work: _Work) -> np.ndarray:
+    """``oscillatory_amplitudes`` with the modes' ``decays`` ``n^2``, their
+    ``_decay_rows`` and the arrays of ``work``."""
+    out = np.zeros((len(modes), t.size))
     envelope = [problem.envelope.coefficient(n) for n in modes]
     for k, a, b in problem.factor.oscillation.harmonics:
         frequency = k * problem.omega
         pieces = [(c, imag) for imag, c in ((False, a), (True, b)) if not c.is_zero]
         parts = [(m, fn * c, imag) for m, fn in enumerate(envelope) for c, imag in pieces]
-        for done, sums in _duhamel_rows(parts, frequency, t, decays, e_decays,
-                                        _phase_exponential(frequency, t), True, work):
-            # a decay's parts end together: each mode's cos part, then its sin part
-            finished = [parts[j][0] for j in done[::len(pieces)]]
-            for piece in range(len(pieces)) if done else ():
-                _add_rows(out, finished, sums[piece::len(pieces)])
+        # an array of work, which the next harmonic's table overwrites
+        table = _duhamel_table(parts, frequency, t, decays, e_decays,
+                               _phase_exponential(frequency, t), True, work)
+        for piece in range(len(pieces)):  # each mode's cos part, then its sin part
+            out += table[piece::len(pieces)]
     return out
 
 
@@ -118,10 +107,11 @@ def mode_amplitudes(problem: HeatProblem, modes,
     ``e^{-n^2 t}`` per mode.
     """
     work = _work()
-    e_decays = _decay_rows(modes, t, work)
+    decays = [float(n) * float(n) for n in modes]
+    e_decays = _decay_rows(decays, t, work)
     mean = _duhamel_weights(modes, [problem.envelope.coefficient(n) * problem.factor.mean
-                                    for n in modes], t, e_decays, work)
-    return mean, _oscillatory(problem, modes, t, e_decays, work)
+                                    for n in modes], t, e_decays)
+    return mean, _oscillatory(problem, modes, t, decays, e_decays, work)
 
 
 def _tail_estimate(problem: HeatProblem) -> float:

@@ -25,11 +25,12 @@ from .catalog import (
     GridFunction,
     SineSeries,
     SlowFunction,
-    _decay_exponential,
-    _rate_exponential,
+    _decay_rows,
+    _duhamel_table,
     _require_finite,
-    exp_kernel_moment,
 )
+# exp_kernel_moment stays importable here because bench/spans.py traces this binding
+from .catalog import exp_kernel_moment  # noqa: F401
 
 __all__ = [
     "SingularEquationError",
@@ -295,15 +296,11 @@ class SeparableResolvent:
     def mode_integrals(self, t) -> np.ndarray:
         """``y_n(t)``, shape (modes, len(t))."""
         arr = np.atleast_1d(np.asarray(t, dtype=float))
-        moments = np.zeros((self.ns.size, arr.size), dtype=complex)
-        e_rates = [_rate_exponential(rate, arr) for _, _, rate in self.rhs.terms]
-        for e, lam in enumerate(self.eigenvalues):
-            e_decay = _decay_exponential(-lam, arr)
-            acc = np.zeros(arr.size, dtype=complex)
-            for (coeff, power, rate), e_rate in zip(self.rhs.terms, e_rates):
-                acc += coeff * exp_kernel_moment(power, rate, -lam, arr,
-                                                 e_decay=e_decay, e_rate=e_rate)
-            moments[e] = self.weights[e] * acc / self.g0
+        decays = [-lam for lam in self.eigenvalues]
+        moments = _duhamel_table([(e, self.rhs, False) for e in range(len(decays))], 0.0, arr,
+                                 decays, _decay_rows(decays, arr), None)
+        for row, weight in zip(moments, self.weights):
+            row[...] = weight * row / self.g0
         return (self.vectors @ moments).real
 
     def __call__(self, t):

@@ -344,7 +344,9 @@ class TestDuhamel:
         decay = catalog._decay_exponential
         monkeypatch.setattr(catalog, "_decay_exponential",
                             lambda *args: decays.append(args) or decay(*args))
-        pair = duhamel_oscillatory(3, (cos, sin), 40.0, t)
+        pair = catalog._duhamel_table([(0, cos, False), (0, sin, False)], 40.0, t, [9.0],
+                                      catalog._decay_rows([9.0], t),
+                                      catalog._phase_exponential(40.0, t))
         assert len(calls) == 3  # (0, 0.0) is shared
         assert all(np.array_equal(p, q) for p, q in zip(pair, singles))
         assert len(decays) == 1  # one e^{-n^2 t} serves all three moments
@@ -416,7 +418,9 @@ class TestExpKernelMomentWholeAxis:
         with np.errstate(over="ignore", invalid="ignore"):
             moments = [exp_kernel_moment(0, 400.0 + 1e4j, 1.0, t),
                        duhamel_oscillatory(1, g, 1e4, t),
-                       duhamel_oscillatory(1, g, 1e4, t, phase=catalog._phase_exponential(1e4, t))]
+                       catalog._duhamel_table([(0, g, False)], 1e4, t, [1.0],
+                                              catalog._decay_rows([1.0], t),
+                                              catalog._phase_exponential(1e4, t))[0]]
         for got in moments:
             assert np.all(np.isfinite(got[:-1]))
             assert not np.isfinite(got[-1].real) and not np.isfinite(got[-1].imag)

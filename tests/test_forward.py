@@ -195,15 +195,31 @@ class TestSolveHeat:
             got = oscillatory_amplitudes(problem, modes, t)
             assert got.tobytes() == want.tobytes(), case
 
+    def test_part_without_terms_keeps_each_mode_its_own_parts(self):
+        # f_1 * cos underflows to a SlowFunction with no terms; mode 1 must
+        # still get its own sin part, not mode 2's cos part
+        envelope = SineSeries({1: 1e-200, 2: 1.0})
+        problem = HeatProblem(envelope, SourceFactor(SlowFunction.zero(),
+                                                     FastProfile([(1, 1e-200, 1.0)])), 50.0, 1.0)
+        t = np.linspace(0.0, 1.0, 9)
+        got = mode_amplitudes(problem, [1, 2], t)[1]
+        for row, n in zip(got, (1, 2)):
+            fn = envelope.coefficient(n)
+            want = (duhamel_oscillatory(n, fn * 1e-200, 50.0, t).real
+                    + duhamel_oscillatory(n, fn * 1.0, 50.0, t).imag)
+            assert row.tobytes() == want.tobytes(), n
+
     def test_one_phase_per_harmonic_one_decay_per_mode(self, monkeypatch):
         formed, rates = [], []
 
         def spied(name, form):
             return lambda arg, t: formed.append((name, arg)) or form(arg, t)
 
-        for module in (forward, catalog):  # catalog's: the moment batches form neither
-            for name in ("_phase_exponential", "_decay_exponential"):
-                monkeypatch.setattr(module, name, spied(name, getattr(module, name)))
+        # forward forms the phases and catalog._decay_rows the decays; the
+        # moment batches form neither
+        for module, name in ((forward, "_phase_exponential"), (catalog, "_phase_exponential"),
+                             (catalog, "_decay_exponential")):
+            monkeypatch.setattr(module, name, spied(name, getattr(module, name)))
         form = catalog._rate_exponentials
         monkeypatch.setattr(catalog, "_rate_exponentials", lambda batch, *args:
                             rates.extend(np.asarray(batch).tolist()) or form(batch, *args))

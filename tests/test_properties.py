@@ -6,7 +6,7 @@ import math
 
 import mpmath as mp
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from osckit import catalog
@@ -17,9 +17,11 @@ from osckit.catalog import (
     SlowFunction,
     SourceFactor,
     _decay_exponential,
+    _decay_rows,
+    _duhamel_table,
     _moment_block,
     _phase_exponential,
-    _rate_exponential,
+    _rate_exponentials,
     duhamel_oscillatory,
     duhamel_slow,
     exp_kernel_moment,
@@ -124,25 +126,13 @@ def moment_nodes(draw, lam):
     return scale * np.array(values)
 
 
-def shared_exponentials(rate, decay, t, shared):
-    """The keywords a caller sharing ``e^{-decay t}``, or also a phase, passes."""
-    if shared is None:
-        return {}
-    keywords = {"e_decay": _decay_exponential(decay, t)}
-    if shared == "phase":
-        phase = _phase_exponential(complex(rate).imag, t)
-        keywords["e_rate"] = _rate_exponential(rate, t, phase)
-    return keywords
-
-
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(st.data(), st.integers(0, 3), lams, st.sampled_from([0.0, 1.0, 4.0, 25.0, 2304.0]),
-       st.sampled_from([None, "decay", "phase"]))
-def test_moment_matches_40_term_oracle_bit_for_bit(data, power, lam, decay, shared):
+@given(st.data(), st.integers(0, 3), lams, st.sampled_from([0.0, 1.0, 4.0, 25.0, 2304.0]))
+def test_moment_matches_40_term_oracle_bit_for_bit(data, power, lam, decay):
     t = data.draw(moment_nodes(lam))
     rate = lam - decay
     want = exp_kernel_moment_40(power, rate, decay, t)
-    got = exp_kernel_moment(power, rate, decay, t, **shared_exponentials(rate, decay, t, shared))
+    got = exp_kernel_moment(power, rate, decay, t)
     assert np.shape(got) == np.shape(want)
     assert np.array_equal(got, want)
     assert np.asarray(got).tobytes() == np.asarray(want).tobytes()  # signed zeros too
@@ -211,15 +201,43 @@ def test_duhamel_bytes_do_not_depend_on_block_size(parts, frequency, n, rows_per
     # blocks of a few rows split the terms of one decay across blocks, as a
     # row longer than the block budget does; the sums keep their bytes
     t = np.linspace(0.0, 1.5, 97)
-    want = duhamel_oscillatory(n, tuple(parts), frequency, t)
+    decays = [float(n * n)]
+    phase = _phase_exponential(frequency, t) if frequency else None
+
+    def table():
+        return _duhamel_table([(0, part, False) for part in parts], frequency, t, decays,
+                              _decay_rows(decays, t), phase)
+
+    want = table()
     budget = catalog.MOMENT_CHUNK
     try:
         catalog.MOMENT_CHUNK = rows_per_block * t.size
-        got = duhamel_oscillatory(n, tuple(parts), frequency, t)
+        got = table()
     finally:
         catalog.MOMENT_CHUNK = budget
-    for a, b in zip(got, want):
-        assert a.tobytes() == b.tobytes()
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 2), st.one_of(st.just(SlowFunction()), slow_parts),
+                          st.booleans()), min_size=1, max_size=6),
+       st.sampled_from([0.0, 7.0, 1e4]), st.sampled_from([97, 3001, 9001]), st.booleans())
+def test_table_rows_match_one_row_calls(parts, frequency, nodes, real):
+    # a part with no terms is a row of zeros; on 3001 or 9001 nodes a block
+    # holds MOMENT_CHUNK // nodes = 5 or 1 rows, so the rows of a decay span
+    # blocks and each part's row goes on from block to block
+    modes = [1, 2, 3]
+    decays = [float(n * n) for n in modes]
+    t = np.linspace(0.0, 1.5, nodes)
+    phase = _phase_exponential(frequency, t) if frequency else None
+    parts = [(m, g, imag and real) for m, g, imag in parts]
+    table = _duhamel_table(parts, frequency, t, decays, _decay_rows(decays, t), phase, real)
+    assert table.shape == (len(parts), t.size)
+    for row, (m, g, imag) in zip(table, parts):
+        want = duhamel_oscillatory(modes[m], g, frequency, t)
+        if real:
+            want = want.imag if imag else want.real
+        assert row.tobytes() == want.tobytes()
 
 
 def test_mode_amplitudes_bytes_do_not_depend_on_block_size():
@@ -261,12 +279,17 @@ def split_grids(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(split_grids())
+# numpy elides the temporary of an unnamed np.exp(g * t) * np.exp(1j * w * t)
+# from 16384 nodes on and multiplies in place, which gives underflowed
+# elements other signed zeros; the reference multiplies named arrays
+@example((-2304.0, 9.79e6, np.linspace(0.30, 0.34, 20000)))
 def test_rate_exponential_is_real_exponential_times_phase(case):
     g, w, t = case
     with np.errstate(over="ignore"):
-        want = np.exp(g * t) * np.exp(1j * w * t)
-        for phase in (None, _phase_exponential(w, t)):
-            got = _rate_exponential(complex(g, w), t, phase)
+        real, phase = np.exp(g * t), np.exp(1j * w * t)
+        want = np.multiply(real, phase)
+        for shared in (None, _phase_exponential(w, t)):
+            got = _rate_exponentials([complex(g, w)], t, shared)[0]
             assert got.tobytes() == want.tobytes()  # signed zeros too
 
 
@@ -275,7 +298,7 @@ def test_rate_exponential_is_real_exponential_times_phase(case):
 def test_rate_exponential_within_two_ulp_of_complex_exponential(case):
     g, w, t = case
     with np.errstate(over="ignore", invalid="ignore"):
-        got = _rate_exponential(complex(g, w), t, _phase_exponential(w, t))
+        got = _rate_exponentials([complex(g, w)], t, _phase_exponential(w, t))[0]
         want = np.exp(complex(g, w) * t)
         ulp = np.spacing(np.exp(g * t))
     finite = np.isfinite(got) & np.isfinite(want)

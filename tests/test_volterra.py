@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from osckit import volterra
+from osckit import catalog
 from osckit.catalog import SineSeries, SlowFunction, duhamel_slow, exp_kernel_moment
 from osckit.volterra import (
     Kernel,
@@ -265,26 +265,28 @@ class TestSeparableResolvent:
             assert diff < 5e-6  # marching O(h^2) against the exact path
 
     def test_mode_integrals_share_exponentials(self, monkeypatch):
+        # one table for all eigenvalues has the bytes of the per-term moments,
+        # for real eigenvalues and for a complex pair beside a real one
         rhs = SlowFunction([(0.7, 1, 0.0), (-0.4, 0, -0.6), (0.2, 2, 0.3)])
-        resolvent = SeparableResolvent(1.3, [1, 2, 3], [0.5, -0.8, 0.3], rhs)
         t = np.linspace(0.0, 2.0, 97)
-        want = np.zeros((3, t.size), dtype=complex)
-        for row, w, lam in zip(want, resolvent.weights, resolvent.eigenvalues):
-            acc = np.zeros(t.size, dtype=complex)
-            for coeff, power, rate in rhs.terms:
-                acc += coeff * exp_kernel_moment(power, rate, -lam, t)
-            row[:] = w * acc / resolvent.g0
-        formed = []
-
-        def spied(name, form):
-            return lambda arg, t: formed.append(name) or form(arg, t)
-
-        for name in ("_decay_exponential", "_rate_exponential"):
-            monkeypatch.setattr(volterra, name, spied(name, getattr(volterra, name)))
-        got = resolvent.mode_integrals(t)
-        assert formed.count("_decay_exponential") == 3  # one per eigenvalue
-        assert formed.count("_rate_exponential") == len(rhs.terms)
-        assert got.tobytes() == (resolvent.vectors @ want).real.tobytes()
+        decays = []
+        form = catalog._decay_exponential
+        for coeffs in ([0.5, -0.8, 0.3], [30.0, -40.0, 10.0]):
+            resolvent = SeparableResolvent(1.3, [1, 2, 3], coeffs, rhs)
+            want = np.zeros((3, t.size), dtype=complex)
+            for row, w, lam in zip(want, resolvent.weights, resolvent.eigenvalues):
+                acc = np.zeros(t.size, dtype=complex)
+                for coeff, power, rate in rhs.terms:
+                    acc += coeff * exp_kernel_moment(power, rate, -lam, t)
+                row[:] = w * acc / resolvent.g0
+            with monkeypatch.context() as patch:
+                patch.setattr(catalog, "_decay_exponential",
+                              lambda decay, t: decays.append(decay) or form(decay, t))
+                decays.clear()
+                got = resolvent.mode_integrals(t)
+            assert len(decays) == 3  # one per eigenvalue
+            assert got.tobytes() == (resolvent.vectors @ want).real.tobytes()
+        assert np.iscomplexobj(resolvent.eigenvalues)
 
     def test_requires_constant_coefficients(self):
         problem = replace(reference_problem(),
