@@ -51,6 +51,16 @@ POINTS_PER_PERIOD = 16
 # product to stay in cache.
 TIME_BLOCK = MOMENT_CHUNK // 2
 SYNTHESIS_SLICE = 1024
+# Rounding margin of residual_norm's column bounds, per mode.  A synthesized
+# value is a K-term product sum_n sin(n x) a_n.  Since |sin| <= 1 and rounding
+# is monotone, no rounded product exceeds |a_n|, and after the additions, in
+# any order, the value is at most (1 + gamma_K) sum_n |a_n|, gamma_K =
+# K eps / (1 - K eps) (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2002, section 3.1); the computed sum_n |a_n| is at least
+# (1 - gamma_K) times its exact value.  A factor 1 + 4 K eps on the
+# computed sum covers both, and the factor's own rounding, while K eps < 1/8.
+# Additions of subnormals are exact, so underflow adds nothing.
+BOUND_MARGIN_PER_MODE = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -192,17 +202,36 @@ def resolving_time_count(omega: float, horizon: float) -> int:
     return max(int(math.ceil(POINTS_PER_PERIOD * periods)) + 1, 513)
 
 
+def _column_bounds(grid: np.ndarray) -> np.ndarray:
+    """Per column of ``grid``, a bound on ``|sine_synthesis(x, modes, grid)|`` at any ``x``.
+
+    The bound is ``sum_n |a_nj|`` times ``1 + BOUND_MARGIN_PER_MODE * K``
+    for ``K`` rows.  A column holding NaN or inf has a NaN or inf bound, and
+    so does one whose bound overflows, silently: such a column is never
+    skipped.
+    """
+    margin = 1.0 + BOUND_MARGIN_PER_MODE * grid.shape[0]
+    with np.errstate(over="ignore"):
+        return np.abs(grid).sum(axis=0) * margin
+
+
 def residual_norm(problem: HeatProblem, x_count: int = 65) -> tuple[float, float]:
     """Sups of ``|u - u0|`` and ``|u - u0 - (u1 + v1)/omega|`` on a resolving grid.
 
     The grid has ``resolving_time_count`` times, POINTS_PER_PERIOD per fast
     period so oscillation peaks enter the sup.  It is walked in blocks of
     TIME_BLOCK nodes: each block's oscillatory amplitudes (u - u0, mode by
-    mode) serve both orders, order 2 subtracts the corrections from those
-    rows, and the synthesis is reduced to its max SYNTHESIS_SLICE columns at
-    a time.  Every value is element-wise, so the max over blocks is the max
-    over the whole grid, bit for bit; the cost is linear in omega and the
-    memory is 8 bytes per time node plus one block.
+    mode) serve both orders, and order 2 subtracts the corrections from
+    those rows.  Each order's synthesis is cut into slices of
+    SYNTHESIS_SLICE columns at fixed offsets, synthesized one at a time into
+    one buffer and reduced to their max.  Column ``j`` of a block cannot
+    exceed ``_column_bounds`` (``sum_n |a_nj|`` plus rounding), so a slice
+    whose largest bound is below the order's running sup is skipped; a
+    block's slices are visited largest bound first.  Every value is
+    element-wise and a skipped slice holds no value above the sup, so the
+    result is the max over the whole grid, bit for bit, NaN and inf
+    included; the cost is linear in omega and the memory is 8 bytes per
+    time node plus one block.
     """
     if x_count < 2:
         raise ValueError("grid counts must be >= 2")
@@ -211,7 +240,8 @@ def residual_norm(problem: HeatProblem, x_count: int = 65) -> tuple[float, float
     t_all = np.linspace(0.0, problem.horizon,
                         resolving_time_count(omega, problem.horizon))
     x = np.linspace(0.0, math.pi, x_count)
-    sups = ([], [])
+    buffer = np.empty((x_count, min(SYNTHESIS_SLICE, t_all.size)))
+    sups = [-np.inf, -np.inf]
     for start in range(0, t_all.size, TIME_BLOCK):
         t = t_all[start:start + TIME_BLOCK]
         first = dict(zip(own, oscillatory_amplitudes(problem, own, t)))
@@ -221,10 +251,18 @@ def residual_norm(problem: HeatProblem, x_count: int = 65) -> tuple[float, float
         profile = expansion.fast.profile(t, omega * t)
         for n, coeff in expansion.fast.envelope.modes.items():  # all modes, even > n_max
             second[n] = second.get(n, 0.0) - coeff(t) * profile / omega
-        for rows, out in zip((first, second), sups):
+        offsets = np.arange(0, t.size, SYNTHESIS_SLICE)
+        for order, rows in enumerate((first, second)):
             modes = sorted(rows)
             grid = np.reshape([rows[n] for n in modes], (-1, t.size))
-            for col in range(0, t.size, SYNTHESIS_SLICE):
-                part = sine_synthesis(x, modes, grid[:, col:col + SYNTHESIS_SLICE])
-                out.append(np.max(np.abs(part)))
-    return float(np.max(sups[0])), float(np.max(sups[1]))
+            largest = np.maximum.reduceat(_column_bounds(grid), offsets)
+            # NaN keys sort last and are still visited: no early exit
+            for i in np.argsort(-largest, kind="stable"):
+                if largest[i] < sups[order]:
+                    continue
+                col = offsets[i]
+                part = buffer[:, :min(SYNTHESIS_SLICE, t.size - col)]
+                sine_synthesis(x, modes, grid[:, col:col + part.shape[1]], out=part)
+                # np.maximum, not max(): a NaN must stay in the sup
+                sups[order] = np.maximum(sups[order], np.max(np.abs(part, out=part)))
+    return float(sups[0]), float(sups[1])

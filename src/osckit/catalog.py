@@ -389,10 +389,14 @@ class SourceFactor:
 # grid functions
 # ---------------------------------------------------------------------------
 
-def sine_synthesis(x, modes, amplitudes) -> np.ndarray:
-    """``sum_i sin(modes[i] x) a_i(t)`` as one product ``sin(outer(x, modes)) @ a``."""
+def sine_synthesis(x, modes, amplitudes, out=None) -> np.ndarray:
+    """``sum_i sin(modes[i] x) a_i(t)`` as one product ``sin(outer(x, modes)) @ a``.
+
+    The product is ``np.matmul``; ``out``, if given, receives it and is
+    returned, with the bits of the product into a new array.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return np.sin(np.outer(x, modes)) @ amplitudes
+    return np.matmul(np.sin(np.outer(x, modes)), amplitudes, out=out)
 
 
 @dataclass
@@ -677,8 +681,13 @@ def _moment_block(powers, rates, decays, t, e_decay, phase=None, work=None,
     step = max(1, MOMENT_CHUNK // (2 * NUMERIC_TERMS))  # series nodes at a time
     for power in sorted({powers[i] for i in rows}):
         mine = [i for i in rows if powers[i] == power]
-        small = _series_regime([sizes[i] for i in mine], t) & (span > 0.0)
-        owners, nodes = np.nonzero(small)
+        # a node in the series regime of any row is in that of the least
+        # |lam|, so only those nodes are compared, in the same (owner, node)
+        # order
+        least = min(sizes[i] for i in mine)
+        candidates = np.flatnonzero((least * span <= 1.0) & (span > 0.0))
+        owners, nodes = np.nonzero(_series_regime([sizes[i] for i in mine], t[candidates]))
+        nodes = candidates[nodes]
         for start in range(0, owners.size, step):
             owner, node = owners[start:start + step], nodes[start:start + step]
             sums = _series_sums(power, [lams[i] for i in mine], t[node], owner)

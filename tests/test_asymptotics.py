@@ -290,21 +290,79 @@ class TestBlockedResidualNorm:
             want = residual_norm_one_shot(problem, x_count)
             assert residual_norm(problem, x_count) == want
 
+    @staticmethod
+    def recorded_slices(problem, monkeypatch):
+        """``residual_norm(problem)``, and per grid bounded by ``_column_bounds``
+        (both orders of each block, in turn) its bounds and the ``(column,
+        width)`` of each slice synthesized from it, with every ``out``."""
+        grids, outs = [], []
+        bounds, synthesis = asymptotics._column_bounds, asymptotics.sine_synthesis
+
+        def recorded_bounds(grid):
+            grids.append((grid, bounds(grid), []))
+            return grids[-1][1]
+
+        def recorded(x, modes, amplitudes, out=None):
+            grid, _, slices = grids[-1]
+            assert np.shares_memory(amplitudes, grid)
+            offset = amplitudes.ctypes.data - grid.ctypes.data
+            slices.append((offset // grid.itemsize, amplitudes.shape[1]))
+            outs.append(out)
+            return synthesis(x, modes, amplitudes, out=out)
+
+        monkeypatch.setattr(asymptotics, "_column_bounds", recorded_bounds)
+        monkeypatch.setattr(asymptotics, "sine_synthesis", recorded)
+        return residual_norm(problem), grids, outs
+
     @pytest.mark.parametrize("offset, blocks", [(-1, 1), (1, 1), (1, 2)])
     def test_every_node_synthesized_once_in_bounded_slices(self, offset, blocks,
                                                            monkeypatch):
         count = blocks * asymptotics.TIME_BLOCK + offset
-        widths = []
-        synthesis = asymptotics.sine_synthesis
+        slice_ = asymptotics.SYNTHESIS_SLICE
+        sups, grids, outs = self.recorded_slices(
+            ladder_problem(omega_for_count(count)), monkeypatch)
+        assert sum(grid.shape[1] for grid, _, _ in grids) == 2 * count  # both orders
+        assert all(out is not None and np.shares_memory(out, outs[0]) for out in outs)
+        for index, (grid, bound, slices) in enumerate(grids):
+            columns = [column for column, _ in slices]
+            assert len(set(columns)) == len(columns)  # no node twice
+            for column, width in slices:
+                assert column % slice_ == 0
+                assert width == min(slice_, grid.shape[1] - column)
+            for column in set(range(0, grid.shape[1], slice_)) - set(columns):
+                assert np.max(bound[column:column + slice_]) < sups[index % 2]
 
-        def recorded(x, modes, amplitudes):
-            widths.append(amplitudes.shape[1])
-            return synthesis(x, modes, amplitudes)
+    def test_bound_skips_slices_on_ladder(self, monkeypatch):
+        problem = ladder_problem(1e4)
+        count = resolving_time_count(problem.omega, problem.horizon)
+        _, grids, _ = self.recorded_slices(problem, monkeypatch)
+        synthesized = sum(width for *_, slices in grids for _, width in slices)
+        assert synthesized < count  # under half of both orders' nodes
 
-        monkeypatch.setattr(asymptotics, "sine_synthesis", recorded)
-        residual_norm(ladder_problem(omega_for_count(count)))
-        assert sum(widths) == 2 * count  # both orders
-        assert max(widths) == asymptotics.SYNTHESIS_SLICE
+    @pytest.mark.parametrize("value, rows, want", [
+        (math.nan, [0], math.nan),
+        (math.inf, [0], math.nan),  # inf * sin(0) at x = 0
+        (np.finfo(float).max, [0, 1], math.inf),  # sin x + sin 2x > 1 overflows
+    ])
+    def test_non_finite_values_reach_the_sup(self, value, rows, want, monkeypatch):
+        # one column of the last slice of the last block, which has three
+        # slices; a column with a non-finite bound is never skipped, its
+        # slice is still visited after skips, and a NaN stays in the sup
+        count = 2 * asymptotics.TIME_BLOCK + 3 * asymptotics.SYNTHESIS_SLICE - 100
+        problem = ladder_problem(omega_for_count(count))
+        amplitudes = asymptotics.oscillatory_amplitudes
+
+        def poisoned(problem, modes, t):
+            out = amplitudes(problem, modes, t)
+            if t[-1] == problem.horizon:
+                out[rows, -2] = value
+            return out
+
+        monkeypatch.setattr(asymptotics, "oscillatory_amplitudes", poisoned)
+        monkeypatch.setattr("_oracles.oscillatory_amplitudes", poisoned)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.testing.assert_equal(residual_norm_one_shot(problem), (want, want))
+            np.testing.assert_equal(residual_norm(problem), (want, want))
 
 
 def rich_problem(omega, n_max=32):

@@ -3,6 +3,10 @@ Volterra march."""
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from osckit import catalog
+from osckit.asymptotics import _column_bounds, residual_norm
 from osckit.catalog import (
     SERIES_HORIZON,
     FastProfile,
@@ -35,7 +40,12 @@ from osckit.scenarios import (
 )
 from osckit.volterra import Kernel, VolterraProblem, solve
 
-from _oracles import exp_kernel_moment_40, march_separable, times_exp
+from _oracles import (
+    exp_kernel_moment_40,
+    march_separable,
+    residual_norm_one_shot,
+    times_exp,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 T = np.linspace(0.0, 2.0, 65)
@@ -393,3 +403,61 @@ def test_chunked_march_matches_per_step_march(intervals, modes, varying):
                               SlowFunction([(1.0, 0, 0.0), (0.5, 1, -0.7)]), 1.0, intervals)
     want = march_separable(problem)
     assert sup(solve(problem).values - want) <= 1e-12 * sup(want)
+
+
+@PROPERTY
+@given(st.integers(1, 6).flatmap(
+    lambda count: st.lists(st.lists(st.floats(-1e3, 1e3) | st.floats(-1e-300, 1e-300),
+                                    min_size=count, max_size=count), min_size=1, max_size=8)))
+@example([[1.0]])  # sin(pi / 2) is 1: the bound is tight
+def test_column_bounds_hold_every_synthesized_value(columns):
+    grid = np.array(columns).T
+    x = np.append(np.linspace(0.0, math.pi, 65), math.pi / 2)
+    values = np.abs(catalog.sine_synthesis(x, range(1, len(grid) + 1), grid))
+    assert (values <= _column_bounds(grid)).all()
+
+
+# ladder-shaped problems: growing envelopes (rates up to 2) put the sup in a
+# late block, where the slice bounds of the earlier blocks are already beaten
+ladder_terms = st.builds(lambda c, rate: SlowFunction([(c, 0, rate)]),
+                         st.floats(-1.0, 1.0), st.floats(-0.5, 2.0))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.lists(ladder_terms, min_size=1, max_size=4), ladder_terms,
+       st.lists(st.tuples(ladder_terms, ladder_terms), min_size=1, max_size=2),
+       st.floats(500.0, 4500.0), st.sampled_from([17, 65]))
+def test_skipped_slices_leave_residual_norm_unchanged(envelope, mean, harmonics,
+                                                      omega, x_count):
+    problem = HeatProblem(
+        SineSeries({n: g for n, g in enumerate(envelope, start=1)}),
+        SourceFactor(SlowFunction.constant(1.0) + mean,
+                     FastProfile([(k, a, b) for k, (a, b) in enumerate(harmonics, start=1)])),
+        omega, 1.0)
+    assert residual_norm(problem, x_count) == residual_norm_one_shot(problem, x_count)
+
+
+FAILING_PROPERTY = """\
+from hypothesis import given, settings, strategies as st
+
+
+@settings(max_examples=5, database=None, derandomize=True)
+@given(st.integers())
+def test_fails(n):
+    assert n != n
+"""
+
+
+def test_failing_property_fails_without_aborting_the_session(tmp_path):
+    # on failure hypothesis imports modules that warn on import; under the
+    # project's warning filters that must not turn into an INTERNALERROR
+    (tmp_path / "test_fails.py").write_text(FAILING_PROPERTY)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-p", "_hypothesis_pytestplugin", "-c", str(config), "--rootdir", str(tmp_path),
+         "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1"})  # hypothesis's plugin only
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed" in run.stdout
