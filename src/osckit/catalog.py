@@ -540,8 +540,8 @@ class _Work:
     microseconds a page: about 2000 page faults in one ``spectral`` forward
     solve.  An array asked for again by name reuses the same memory.  The
     batches use their thread's ``_Work`` (``_work``), which keeps its memory
-    from call to call, about 1 MB plus the forward solve's last Duhamel
-    table, so that a ``ladder`` operation's many short calls do not fault it
+    from call to call, about 1 MB plus the last table's decay rows and part
+    rows, so that a ``ladder`` operation's many short calls do not fault it
     in again each time.
     """
 
@@ -785,39 +785,50 @@ def _add_rows(out: np.ndarray, rows: list, values: np.ndarray) -> None:
         out[index] += values
 
 
-def _duhamel_table(parts, frequency: float, t, decays, e_decays, phase, real=False,
-                   work=None) -> np.ndarray:
-    """``integral_0^t e^{-d (t-s)} g(s) e^{i frequency s} ds`` for ``parts``, one row each.
+def _duhamel_table(sums, t, decays, real=False) -> np.ndarray:
+    """Rows that are sums of ``integral_0^t e^{-d (t-s)} g(s) e^{i f s} ds``, a new array.
 
-    ``parts[j] = (m, g, imag)`` gives row ``j``: the decay ``d = decays[m]``,
-    whose ``_decay_exponential`` is ``e_decays[m]``, and a SlowFunction
-    ``g``.  The table has shape ``(len(parts), t.size)``; its rows are
-    complex, or where ``real`` the real part, or the imaginary part where
-    ``imag`` is set.  A part with no terms is a row of zeros.  ``phase``
-    must be ``_phase_exponential(frequency, t)``, or None where
-    ``frequency`` is 0.  The blocks use the arrays of ``work``, the
-    thread's (``_work``) by default.  The table is a new array, or where
-    ``work`` is given one of its arrays, which the next table of ``work``
-    overwrites.
+    ``sums[r]`` lists the parts ``(m, g, f, imag)`` whose sum is row ``r``:
+    the decay ``d = decays[m]``, a SlowFunction ``g`` and a frequency ``f``.
+    A part is complex, or where ``real`` its real part, or its imaginary
+    part where ``imag`` is set; one with no terms is zero.  Each part starts
+    at ``+0`` and adds ``c * moment`` in term order, and each row starts at
+    ``+0`` and adds its finished parts in increasing order of ``f``, then in
+    list order.  A part is never ``-0.0``, so a one-part row is that part.
 
-    Every distinct ``(m, power, rate)`` is one moment row, and all rows are
-    taken in blocks of ``_moment_block``, so parts share the moments of
-    their common terms.  Rows are ordered by ``(m, power, rate)``, the order
-    of each ``g``'s terms, and blocks hold whole decays where they fit, so
-    each distinct ``(m, rate)`` of a block forms its ``e^{(rate + i
-    frequency) t}`` once.  Each row starts at ``+0`` and adds ``c *
-    moment`` in term order, as ``out = out + c * moment`` would, whichever
-    blocks its terms fall in.
+    The table forms ``e^{-d t}`` once per decay (``_decay_rows``) and takes
+    one frequency at a time, in the thread's ``_Work``, forming its phase
+    ``e^{i f t}`` once if ``f != 0``.  Every distinct ``(m, power, rate)``
+    of a frequency is one moment row of a block of ``_moment_block``, so
+    parts share the moments of their common terms.  Rows are ordered by
+    ``(m, power, rate)``, the order of each ``g``'s terms, and blocks hold
+    whole decays where they fit, so each distinct ``(m, rate)`` of a block
+    forms its ``e^{(rate + i f) t}`` once.
     """
-    shape, dtype = (len(parts), t.size), float if real else complex
-    if work is None:
-        out, work = np.zeros(shape, dtype), _work()
-    else:
-        out = work("table", *shape, dtype)
-        out.fill(0.0)
-    keys = sorted({(m, power, rate) for m, g, _ in parts for _, power, rate in g.terms})
+    work = _work()
+    out = np.zeros((len(sums), t.size), float if real else complex)
+    e_decays = _decay_rows(decays, t, work)
+    grid = _grid(t)
+    frequencies = {}  # f -> its parts, each with its row, in row order
+    for r, row in enumerate(sums):
+        for part in row:
+            frequencies.setdefault(part[2], []).append((r, part))
+    for f in sorted(frequencies):
+        _add_parts(out, frequencies[f], f, t, decays, e_decays, grid, work)
+    return out
+
+
+def _add_parts(table, pairs, frequency, t, decays, e_decays, grid, work) -> None:
+    """Add the parts of one ``frequency`` of ``_duhamel_table``, ``pairs`` of
+    ``(row, part)`` in order of row, into ``table``; ``grid`` is ``_grid(t)``."""
+    rows, parts = zip(*pairs)
+    keys = sorted({(m, power, rate) for m, g, _, _ in parts for _, power, rate in g.terms})
     if not keys:
-        return out
+        return
+    real = table.dtype == float
+    out = work("parts", len(parts), t.size, table.dtype)
+    out.fill(0.0)
+    phase = _phase_exponential(frequency, t) if frequency else None
     full = {rate: rate + 1j * frequency for _, _, rate in keys}
     step = max(1, MOMENT_CHUNK // t.size)
     first = {}  # m -> its first row
@@ -837,14 +848,14 @@ def _duhamel_table(parts, frequency: float, t, decays, e_decays, phase, real=Fal
     # every part adds its terms in order and no round names a part twice
     adds = [[] for _ in bounds[1:]]  # per block: (round, part, row, coefficient)
     used = {}  # row -> its first (round, part)
-    for j, (m, g, imag) in enumerate(parts):
+    for j, (m, g, _, imag) in enumerate(parts):
         rounds = {}
         for c, power, rate in g.terms:
             i = row[m, power, rate]
-            rounds[block_of[i]] = rounds.get(block_of[i], -1) + 1
-            adds[block_of[i]].append((rounds[block_of[i]], j, i, -1j * c if imag else c))
-            used[i] = min(used.get(i, (rounds[block_of[i]], j)), (rounds[block_of[i]], j))
-    grid = _grid(t)
+            block = block_of[i]
+            q = rounds[block] = rounds.get(block, -1) + 1
+            adds[block].append((q, j, i, -1j * c if imag else c))
+            used[i] = min(used.get(i, (q, j)), (q, j))
 
     for block, (start, stop) in enumerate(zip(bounds, bounds[1:])):
         # by power, so _by_parts takes each term on a slice, and within a
@@ -875,21 +886,21 @@ def _duhamel_table(parts, frequency: float, t, decays, e_decays, phase, real=Fal
                 hi += 1
             _add_rows(out, [add[1] for add in here[lo:hi]], terms[lo:hi])
             lo = hi
-    return out
+    # a row's parts are adjacent: round q adds the q-th part of each row
+    plan, q = [], 0
+    for j, r in enumerate(rows):
+        q = q + 1 if j and r == rows[j - 1] else 0
+        if q == len(plan):
+            plan.append([])
+        plan[q].append(j)
+    for add in plan:
+        _add_rows(table, [rows[j] for j in add], out[_index(add)])
 
 
-def _duhamel_weights(ns, gs, t: np.ndarray, e_decays=None) -> np.ndarray:
-    """Rows ``duhamel_weight(n, g, t)``, one per ``n`` of ``ns`` and ``g`` of ``gs``.
-
-    The real table of one batch (``_duhamel_table``) on the 1-D grid ``t``,
-    a new array.  ``e_decays``, if given, must be ``_decay_rows`` of the
-    ``n^2``.
-    """
-    decays = [float(n) * float(n) for n in ns]
-    if e_decays is None:
-        e_decays = _decay_rows(decays, t)
-    return _duhamel_table([(m, g, False) for m, g in enumerate(gs)], 0.0, t, decays,
-                          e_decays, None, True)
+def _duhamel_weights(ns, gs, t: np.ndarray) -> np.ndarray:
+    """Rows ``duhamel_weight(n, g, t)`` for ``ns`` and ``gs``: a real ``_duhamel_table``."""
+    return _duhamel_table([[(m, g, 0.0, False)] for m, g in enumerate(gs)], t,
+                          [float(n) * float(n) for n in ns], True)
 
 
 def duhamel_weight(n: int, g: SlowFunction, t):
@@ -902,17 +913,14 @@ def duhamel_oscillatory(n: int, g: SlowFunction, frequency: float, t):
     """``integral_0^t e^{-n^2 (t-s)} g(s) e^{i * frequency * s} ds`` (complex).
 
     Real part gives the cos-modulated integral, imaginary part the
-    sin-modulated one.  This is the one-row case of ``_duhamel_table``: all
-    moments share one real ``e^{-n^2 t}`` and one phase ``e^{i frequency
+    sin-modulated one.  This is the table (``_duhamel_table``) of one part:
+    all moments share one real ``e^{-n^2 t}`` and one phase ``e^{i frequency
     t}``, and each distinct term rate ``r`` takes its ``e^{(r + i
     frequency) t}`` once, as the real ``e^{r t}`` times that phase.
     """
-    n2 = float(n) * float(n)
     arr = np.asarray(t, dtype=float)
-    flat = arr.reshape(-1)
-    phase = _phase_exponential(frequency, flat) if frequency else None
-    table = _duhamel_table([(0, g, False)], frequency, flat, [n2], _decay_rows([n2], flat),
-                           phase)
+    table = _duhamel_table([[(0, g, frequency, False)]], arr.reshape(-1),
+                           [float(n) * float(n)])
     return table[0].reshape(arr.shape)
 
 

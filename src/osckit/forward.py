@@ -20,13 +20,8 @@ from .catalog import (
     GridFunction,
     SineSeries,
     SourceFactor,
-    _decay_rows,
     _duhamel_table,
-    _duhamel_weights,
-    _phase_exponential,
     _require_finite,
-    _Work,
-    _work,
     sine_synthesis,
 )
 # stay importable here because bench/spans.py traces these bindings
@@ -67,34 +62,12 @@ class HeatProblem:
 def oscillatory_amplitudes(problem: HeatProblem, modes, t: np.ndarray) -> np.ndarray:
     """Closed-form Duhamel part of ``u_n(t)`` driven by the oscillation ``r - r0``.
 
-    One row per entry of ``modes``.  Each harmonic's moments, for all modes
-    at once, are one table (``catalog._duhamel_table``): one moment per
-    (mode, distinct term), shared by the cos and sin parts, one phase
-    ``e^{i k omega t}`` for all of them, and one real ``e^{-n^2 t}`` per mode
-    for every harmonic.  Each row then adds its harmonics' cos and sin parts
-    in order.
+    One row per entry of ``modes``, each the sum of its harmonics' cos and
+    sin parts, in that order, all in one table (``catalog._duhamel_table``).
+    The parts of one harmonic share one moment per (mode, distinct term) and
+    one phase ``e^{i k omega t}``, and all share one ``e^{-n^2 t}`` per mode.
     """
-    work = _work()
-    decays = [float(n) * float(n) for n in modes]
-    return _oscillatory(problem, modes, t, decays, _decay_rows(decays, t, work), work)
-
-
-def _oscillatory(problem: HeatProblem, modes, t: np.ndarray, decays, e_decays: np.ndarray,
-                 work: _Work) -> np.ndarray:
-    """``oscillatory_amplitudes`` with the modes' ``decays`` ``n^2``, their
-    ``_decay_rows`` and the arrays of ``work``."""
-    out = np.zeros((len(modes), t.size))
-    envelope = [problem.envelope.coefficient(n) for n in modes]
-    for k, a, b in problem.factor.oscillation.harmonics:
-        frequency = k * problem.omega
-        pieces = [(c, imag) for imag, c in ((False, a), (True, b)) if not c.is_zero]
-        parts = [(m, fn * c, imag) for m, fn in enumerate(envelope) for c, imag in pieces]
-        # an array of work, which the next harmonic's table overwrites
-        table = _duhamel_table(parts, frequency, t, decays, e_decays,
-                               _phase_exponential(frequency, t), True, work)
-        for piece in range(len(pieces)):  # each mode's cos part, then its sin part
-            out += table[piece::len(pieces)]
-    return out
+    return _amplitudes(problem, modes, t, False)
 
 
 def mode_amplitudes(problem: HeatProblem, modes,
@@ -103,15 +76,22 @@ def mode_amplitudes(problem: HeatProblem, modes,
 
     Returns two ``(len(modes), len(t))`` arrays whose sum is ``u_n(t)``: the
     part driven by the mean ``r0`` and the part driven by the oscillation
-    ``r - r0``.  The mean's moments are one batch, and both parts share one
-    ``e^{-n^2 t}`` per mode.
+    ``r - r0`` (``oscillatory_amplitudes``), as the rows of one table.
     """
-    work = _work()
-    decays = [float(n) * float(n) for n in modes]
-    e_decays = _decay_rows(decays, t, work)
-    mean = _duhamel_weights(modes, [problem.envelope.coefficient(n) * problem.factor.mean
-                                    for n in modes], t, e_decays)
-    return mean, _oscillatory(problem, modes, t, decays, e_decays, work)
+    table = _amplitudes(problem, modes, t, True)
+    return table[:len(modes)], table[len(modes):]
+
+
+def _amplitudes(problem: HeatProblem, modes, t: np.ndarray, mean: bool) -> np.ndarray:
+    """The real ``_duhamel_table`` of the mean's rows where ``mean``, then the oscillation's."""
+    envelope = [problem.envelope.coefficient(n) for n in modes]
+    pieces = [(k * problem.omega, c, imag) for k, a, b in problem.factor.oscillation.harmonics
+              for imag, c in ((False, a), (True, b)) if not c.is_zero]
+    sums = [[(m, fn * problem.factor.mean, 0.0, False)] for m, fn in enumerate(envelope)
+            if mean]
+    sums += [[(m, fn * c, frequency, imag) for frequency, c, imag in pieces]
+             for m, fn in enumerate(envelope)]
+    return _duhamel_table(sums, t, [float(n) * float(n) for n in modes], True)
 
 
 def _tail_estimate(problem: HeatProblem) -> float:

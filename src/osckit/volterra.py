@@ -25,7 +25,6 @@ from .catalog import (
     GridFunction,
     SineSeries,
     SlowFunction,
-    _decay_rows,
     _duhamel_table,
     _require_finite,
 )
@@ -69,9 +68,9 @@ class Kernel:
 def build_kernel(envelope: SineSeries, x0: float, n_max: int = 32) -> Kernel:
     """Kernel ``-sum_n n^2 f_n(s) sin(n x0) e^{-n^2 (t-s)}`` of the trace equation.
 
-    Modes of the envelope above ``n_max`` are dropped; their worst-case
-    contribution ``sum |f_n| n^2 e^{-n^2 (t-s)}`` at t = s is recorded as
-    ``tail_bound``.
+    Modes of the envelope above ``n_max`` are dropped.  As ``e^{-n^2 (t-s)}
+    <= 1`` for ``t >= s``, ``tail_bound`` bounds their part of the kernel by
+    the sum of the sups over ``s >= 0`` of their terms (``_term_sup``).
     """
     if not 0.0 < x0 < math.pi:
         raise ValueError(f"x0 = {x0:g} outside (0, pi)")
@@ -83,8 +82,20 @@ def build_kernel(envelope: SineSeries, x0: float, n_max: int = 32) -> Kernel:
             if not coeff.is_zero:
                 modes.append((n, coeff))
         else:
-            tail += max(abs(c) for c, _, _ in coeff.terms) if coeff.terms else 0.0
+            tail += sum(_term_sup(*term) for term in coeff.terms)
     return Kernel(tuple(modes), tail)
+
+
+def _term_sup(c: float, m: int, g: float) -> float:
+    """``sup |c s^m e^{g s}|`` over ``s >= 0``: ``|c|`` where ``m = 0`` and ``g <= 0``,
+    ``|c| (m / (-g e))^m`` where ``g < 0 < m``, and ``inf`` otherwise, as no
+    horizon bounds a growing term."""
+    if g > 0.0 or (g == 0.0 and m > 0):
+        return math.inf
+    try:
+        return abs(c) * (m / (-g * math.e)) ** m if m else abs(c)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -284,7 +295,7 @@ class SeparableResolvent:
         n2 = self.ns * self.ns
         b = -np.diag(n2) - np.outer(np.ones_like(self.c), self.c) / self.g0
         lam, vec = np.linalg.eig(b)
-        cond = np.linalg.cond(vec)
+        cond = np.linalg.cond(vec) if self.ns.size else 1.0  # no modes: g0 l = rhs
         if not np.isfinite(cond) or cond > 1e10:
             raise SingularEquationError(
                 f"defective mode system (eigenvector condition {cond:.2e})"
@@ -297,8 +308,8 @@ class SeparableResolvent:
         """``y_n(t)``, shape (modes, len(t))."""
         arr = np.atleast_1d(np.asarray(t, dtype=float))
         decays = [-lam for lam in self.eigenvalues]
-        moments = _duhamel_table([(e, self.rhs, False) for e in range(len(decays))], 0.0, arr,
-                                 decays, _decay_rows(decays, arr), None)
+        moments = _duhamel_table([[(e, self.rhs, 0.0, False)] for e in range(len(decays))], arr,
+                                 decays)
         for row, weight in zip(moments, self.weights):
             row[...] = weight * row / self.g0
         return (self.vectors @ moments).real

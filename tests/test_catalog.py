@@ -1,8 +1,10 @@
 """Catalog layer: closed-form calculus, profiles, series, Duhamel weights."""
 
+import ast
 import functools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -344,9 +346,8 @@ class TestDuhamel:
         decay = catalog._decay_exponential
         monkeypatch.setattr(catalog, "_decay_exponential",
                             lambda *args: decays.append(args) or decay(*args))
-        pair = catalog._duhamel_table([(0, cos, False), (0, sin, False)], 40.0, t, [9.0],
-                                      catalog._decay_rows([9.0], t),
-                                      catalog._phase_exponential(40.0, t))
+        pair = catalog._duhamel_table([[(0, cos, 40.0, False)], [(0, sin, 40.0, False)]], t,
+                                      [9.0])
         assert len(calls) == 3  # (0, 0.0) is shared
         assert all(np.array_equal(p, q) for p, q in zip(pair, singles))
         assert len(decays) == 1  # one e^{-n^2 t} serves all three moments
@@ -418,12 +419,23 @@ class TestExpKernelMomentWholeAxis:
         with np.errstate(over="ignore", invalid="ignore"):
             moments = [exp_kernel_moment(0, 400.0 + 1e4j, 1.0, t),
                        duhamel_oscillatory(1, g, 1e4, t),
-                       catalog._duhamel_table([(0, g, False)], 1e4, t, [1.0],
-                                              catalog._decay_rows([1.0], t),
-                                              catalog._phase_exponential(1e4, t))[0]]
+                       catalog._duhamel_table([[(0, g, 1e4, False)]], t, [1.0])[0]]
         for got in moments:
             assert np.all(np.isfinite(got[:-1]))
             assert not np.isfinite(got[-1].real) and not np.isfinite(got[-1].imag)
+
+
+def test_only_catalog_touches_the_exponentials_and_work_arrays():
+    # the Duhamel table forms its own exponentials; other modules pass it data
+    private = {"_decay_rows", "_phase_exponential", "_rate_exponentials",
+               "_decay_exponential", "_Work", "_work"}
+    for path in sorted(Path(catalog.__file__).parent.glob("*.py")):
+        if path.name != "catalog.py":
+            tree = ast.parse(path.read_text())
+            names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                     for alias in node.names}
+            names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            assert not names & private, path.name
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,47 @@ BUILTIN_CSV_SHA256 = {
     "golden-convergence": "a7462c67f3f227bcb0ba5ae0c09b7cb824e9d94d7ae53f10759ac55202464efe",
     "golden-forward": "90a9346b288d1bdb2c3d637a445a6cb20506d9a619389ef3a9c00c4d3caddbf8",
 }
+# Two scenarios whose modes add cos and sin parts over several harmonics,
+# which no built-in does, so their digests pin the order of those sums.
+HARMONIC_SCENARIOS = {
+    "harmonics-forward": {
+        "kind": "forward",
+        "params": {"omega": 300.0, "T": 1.0, "x_count": 17, "t_count": 129,
+                   "x0": math.pi / 2.0},  # the node x[8]
+        "functions": {
+            "f": {"series": {str(n): [[0.9 / n, 0, 1.2 - 0.1 * n], [-0.6 / n, 1, -0.05 * n]]
+                             for n in range(1, 9)}},
+            "r0": {"slow": [[1.0, 0, 0.0], [0.5, 1, -0.3]]},
+            "r1": {"fast": [{"k": k, "cos": [[0.4, 0, 0.5 * k], [-0.3, 1, -1.1]],
+                             "sin": [[0.7, 0, -0.2 * k]]} for k in (1, 2, 3)]},
+        },
+    },
+    "harmonics-convergence": {
+        "kind": "convergence",
+        "params": {"omega_ladder": [64.0, 128.0], "T": 1.0, "x_count": 33},
+        "functions": {
+            "f": {"series": {"1": [[1.0, 0, 0.0], [0.5, 1, -1.0]], "2": [[0.7, 0, 0.0]]}},
+            "r0": {"slow": [[1.0, 1, 0.0]]},
+            "r1": {"fast": [{"k": 1, "cos": [[0.3, 0, 0.0]], "sin": [[1.0, 0, 0.0]]},
+                            {"k": 2, "cos": [[-0.5, 1, 0.0]], "sin": [[0.2, 0, -1.0]]}]},
+        },
+    },
+}
+REPORT_SHA256 = dict(BUILTIN_REPORT_SHA256, **{
+    "harmonics-forward": "6aae430a7f3a10172f07c85ff227d7730f1ce309206e8886edb9546a12b48a8a",
+    "harmonics-convergence": "b08292b6186632a275beac35b96ea05c6cc48708ab43cb580ae4c8546d69ff0c",
+})
+CSV_SHA256 = dict(BUILTIN_CSV_SHA256, **{
+    "harmonics-forward": "bec350c39cf6562aa209bd258b9e39a6f921424b474402b0aca833c87c0d5655",
+    "harmonics-convergence": "3322db567c7aaf22613bf20bb7c713588330eacc642453c281fe021040e38e44",
+})
+
+
+def pinned_scenario(name):
+    """A built-in, or one of ``HARMONIC_SCENARIOS``."""
+    if name in HARMONIC_SCENARIOS:
+        return parse_scenario_dict(HARMONIC_SCENARIOS[name])
+    return builtin_scenario(name)
 
 
 def write_scenario(tmp_path, payload, name="case.json"):
@@ -454,21 +495,21 @@ class TestEmit:
         assert a == b
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
-    @pytest.mark.parametrize("name", sorted(BUILTIN_REPORT_SHA256))
+    @pytest.mark.parametrize("name", sorted(BUILTIN_REPORT_SHA256) + sorted(HARMONIC_SCENARIOS))
     def test_builtin_report_bytes_pinned(self, name, tmp_path):
         if np.__version__ != PINNED_NUMPY:
             pytest.skip(f"report digests were recorded on numpy {PINNED_NUMPY}, "
                         f"this is numpy {np.__version__}")
-        report = run(builtin_scenario(name))
-        for fmt, digests in (("json", BUILTIN_REPORT_SHA256), ("csv", BUILTIN_CSV_SHA256)):
+        report = run(pinned_scenario(name))
+        for fmt, digests in (("json", REPORT_SHA256), ("csv", CSV_SHA256)):
             text = emit(report, fmt, str(tmp_path / f"r.{fmt}"))
             assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digests[name]
 
-    @pytest.mark.parametrize("name", sorted(BUILTIN_REPORT_SHA256))
+    @pytest.mark.parametrize("name", sorted(BUILTIN_REPORT_SHA256) + sorted(HARMONIC_SCENARIOS))
     def test_builtin_report_bytes_match_40_term_moments(self, name, tmp_path, monkeypatch):
         # the pins above skip off numpy 2.4.6; this comparison runs on any numpy
         def reports():
-            report = run(builtin_scenario(name))
+            report = run(pinned_scenario(name))
             return [emit(report, fmt, str(tmp_path / f"r.{fmt}")) for fmt in ("json", "csv")]
 
         texts = reports()

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from osckit import catalog, forward
+from osckit import catalog
 from osckit.asymptotics import leading_term
 from osckit.catalog import (
     FastProfile,
@@ -215,11 +215,10 @@ class TestSolveHeat:
         def spied(name, form):
             return lambda arg, t: formed.append((name, arg)) or form(arg, t)
 
-        # forward forms the phases and catalog._decay_rows the decays; the
-        # moment batches form neither
-        for module, name in ((forward, "_phase_exponential"), (catalog, "_phase_exponential"),
-                             (catalog, "_decay_exponential")):
-            monkeypatch.setattr(module, name, spied(name, getattr(module, name)))
+        # the table forms the decays and the phases; the moment batches form
+        # neither
+        for name in ("_phase_exponential", "_decay_exponential"):
+            monkeypatch.setattr(catalog, name, spied(name, getattr(catalog, name)))
         form = catalog._rate_exponentials
         monkeypatch.setattr(catalog, "_rate_exponentials", lambda batch, *args:
                             rates.extend(np.asarray(batch).tolist()) or form(batch, *args))
@@ -230,7 +229,7 @@ class TestSolveHeat:
             problem = HeatProblem(envelope, SourceFactor(LINEAR_MEAN, oscillation), omega, 1.0)
             formed.clear()
             rates.clear()
-            oscillatory_amplitudes(problem, problem.active_modes, t)
+            mode_amplitudes(problem, problem.active_modes, t)
             assert formed == ([("_decay_exponential", float(n * n)) for n in problem.active_modes]
                               + [("_phase_exponential", omega * k)
                                  for k, _, _ in oscillation.harmonics])

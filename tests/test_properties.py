@@ -22,7 +22,6 @@ from osckit.catalog import (
     SlowFunction,
     SourceFactor,
     _decay_exponential,
-    _decay_rows,
     _duhamel_table,
     _moment_block,
     _phase_exponential,
@@ -212,11 +211,9 @@ def test_duhamel_bytes_do_not_depend_on_block_size(parts, frequency, n, rows_per
     # row longer than the block budget does; the sums keep their bytes
     t = np.linspace(0.0, 1.5, 97)
     decays = [float(n * n)]
-    phase = _phase_exponential(frequency, t) if frequency else None
 
     def table():
-        return _duhamel_table([(0, part, False) for part in parts], frequency, t, decays,
-                              _decay_rows(decays, t), phase)
+        return _duhamel_table([[(0, part, frequency, False)] for part in parts], t, decays)
 
     want = table()
     budget = catalog.MOMENT_CHUNK
@@ -239,14 +236,35 @@ def test_table_rows_match_one_row_calls(parts, frequency, nodes, real):
     modes = [1, 2, 3]
     decays = [float(n * n) for n in modes]
     t = np.linspace(0.0, 1.5, nodes)
-    phase = _phase_exponential(frequency, t) if frequency else None
     parts = [(m, g, imag and real) for m, g, imag in parts]
-    table = _duhamel_table(parts, frequency, t, decays, _decay_rows(decays, t), phase, real)
+    table = _duhamel_table([[(m, g, frequency, imag)] for m, g, imag in parts], t, decays, real)
     assert table.shape == (len(parts), t.size)
     for row, (m, g, imag) in zip(table, parts):
         want = duhamel_oscillatory(modes[m], g, frequency, t)
         if real:
             want = want.imag if imag else want.real
+        assert row.tobytes() == want.tobytes()
+
+
+tagged_parts = st.tuples(st.integers(0, 2), st.one_of(st.just(SlowFunction()), slow_parts),
+                         st.sampled_from([0.0, -7.0, 1e4]), st.booleans())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.lists(tagged_parts, min_size=1, max_size=4), min_size=1, max_size=3),
+       st.sampled_from([97, 3001, 9001]), st.booleans())
+def test_row_of_parts_is_the_sum_of_one_part_rows(sums, nodes, real):
+    # a row starts at +0 and adds its parts by increasing frequency, then in
+    # list order; parts of each frequency share their table, parts of
+    # different frequencies do not
+    decays = [1.0, 4.0, 9.0]
+    t = np.linspace(0.0, 1.5, nodes)
+    table = _duhamel_table(sums, t, decays, real)
+    assert table.shape == (len(sums), t.size)
+    for row, parts in zip(table, sums):
+        want = np.zeros(t.size, dtype=float if real else complex)
+        for part in sorted(parts, key=lambda part: part[2]):
+            want = want + _duhamel_table([[part]], t, decays, real)[0]
         assert row.tobytes() == want.tobytes()
 
 

@@ -53,6 +53,14 @@ class TestBuildKernel:
         kernel = build_kernel(SineSeries({1: 1.0, 40: 0.25}), 1.0, n_max=8)
         assert kernel.tail_bound > 0
 
+    def test_tail_bound_sums_the_sups_of_dropped_terms(self):
+        # the dropped f_3 = 1 + e^{-s} gives 9 (1 + e^{-s}) at x0 = pi/2,
+        # which is 18 at s = 0; a term that grows has no bound
+        for f3, want in ((SlowFunction([(1.0, 0, 0.0), (1.0, 0, -1.0)]), 18.0),
+                         (SlowFunction([(1.0, 0, 0.0), (1.0, 1, 0.0)]), math.inf)):
+            kernel = build_kernel(SineSeries({1: 1.0, 3: f3}), math.pi / 2.0, n_max=2)
+            assert kernel.tail_bound == want
+
     def test_point_outside_interval_rejected(self):
         with pytest.raises(ValueError):
             build_kernel(SineSeries({1: 1.0}), math.pi)
@@ -287,6 +295,13 @@ class TestSeparableResolvent:
             assert len(decays) == 3  # one per eigenvalue
             assert got.tobytes() == (resolvent.vectors @ want).real.tobytes()
         assert np.iscomplexobj(resolvent.eigenvalues)
+
+    def test_no_modes_divides_by_g0(self):
+        rhs = SlowFunction([(0.7, 1, 0.0), (-0.4, 0, -0.6)])
+        resolvent = SeparableResolvent(2.0, [], [], rhs)
+        t = np.linspace(0.0, 2.0, 33)
+        assert resolvent(t).tobytes() == (rhs(t) / 2.0).tobytes()
+        assert resolvent.mode_integrals(t).shape == (0, t.size)
 
     def test_requires_constant_coefficients(self):
         problem = replace(reference_problem(),
