@@ -538,26 +538,27 @@ class _Work:
     block, glibc's malloc hands memory of that size back to the system when
     it is freed and faults it in again for the next block, a few
     microseconds a page: about 2000 page faults in one ``spectral`` forward
-    solve.  An array asked for again by name reuses the same memory.  The
-    batches use their thread's ``_Work`` (``_work``), which keeps its memory
-    from call to call, about 1 MB plus the last table's decay rows and part
-    rows, so that a ``ladder`` operation's many short calls do not fault it
-    in again each time.
+    solve.  An array asked for again by name and dtype reuses the same
+    memory, so a complex table between two real ones takes nothing from
+    them.  The tables use their thread's ``_Work`` (``_work``), which keeps
+    its memory from call to call, about 1 MB plus the largest decay rows and
+    part rows of each dtype so far, so that a ``ladder`` operation's many
+    short calls do not fault it in again each time.
     """
 
     def __init__(self):
-        self._arrays = {}  # name -> its memory, flat
-        self._views = {}  # (name, rows, nodes, dtype) -> a view of that memory
+        self._arrays = {}  # (name, dtype) -> its memory, flat
+        self._views = {}  # (name, dtype, rows, nodes) -> a view of that memory
 
     def __call__(self, name: str, rows: int, nodes: int, dtype=complex) -> np.ndarray:
-        """A ``(rows, nodes)`` array whose values the next call for ``name`` overwrites."""
-        key = (name, rows, nodes, dtype)
+        """A ``(rows, nodes)`` array whose values the next call for ``(name, dtype)`` overwrites."""
+        key = (name, dtype, rows, nodes)
         view = self._views.get(key)
         if view is None:
-            flat = self._arrays.get(name)
-            if flat is None or flat.size < rows * nodes or flat.dtype != dtype:
-                flat = self._arrays[name] = np.empty(rows * nodes, dtype=dtype)
-                self._views = {k: v for k, v in self._views.items() if k[0] != name}
+            flat = self._arrays.get((name, dtype))
+            if flat is None or flat.size < rows * nodes:
+                flat = self._arrays[name, dtype] = np.empty(rows * nodes, dtype=dtype)
+                self._views = {k: v for k, v in self._views.items() if k[:2] != (name, dtype)}
             view = self._views[key] = flat[:rows * nodes].reshape(rows, nodes)
         return view
 
@@ -566,30 +567,11 @@ _THREAD = threading.local()
 
 
 def _work() -> _Work:
-    """The calling thread's ``_Work``.  A batch must be done with its arrays
-    before the next batch of the thread starts."""
+    """The calling thread's ``_Work``.  A table must be done with its arrays
+    before the next table of the thread starts."""
     if not hasattr(_THREAD, "work"):
         _THREAD.work = _Work()
     return _THREAD.work
-
-
-def _decay_exponential(decay, t) -> np.ndarray:
-    """``e^{-decay t}`` by the rule of ``_rate_exponentials``: real for a real ``decay``."""
-    return _rate_exponentials([-complex(decay)], t)[0]
-
-
-def _decay_rows(decays, t: np.ndarray, work=None) -> np.ndarray:
-    """One ``_decay_exponential(d, t)`` per ``d`` of ``decays``, as the rows of one array.
-
-    The rows are real unless a decay has an imaginary part, and are an array
-    of ``work`` if one is given.
-    """
-    work = _Work() if work is None else work
-    dtype = complex if any(complex(decay).imag for decay in decays) else float
-    rows = work("decays", len(decays), t.size, dtype)
-    for row, decay in zip(rows, decays):
-        row[...] = _decay_exponential(decay, t)
-    return rows
 
 
 def _phase_exponential(frequency: float, t) -> np.ndarray:
@@ -597,26 +579,56 @@ def _phase_exponential(frequency: float, t) -> np.ndarray:
     return np.exp(complex(0.0, frequency) * np.asarray(t, dtype=float))
 
 
-def _rate_exponentials(rates, t, phase=None, work=None) -> np.ndarray:
-    """Rows ``e^{rate t}`` on the 1-D grid ``t`` for ``rates`` of one imaginary part ``w``.
+class _Grid:
+    """What every moment block on one 1-D time grid ``t`` shares, the arena ``work`` too.
 
-    Each row is numpy's real ``np.exp(rate.real * t)``, times the phase
-    ``e^{i w t}`` where ``w != 0``; that is ``phase`` if given (it must be
-    ``_phase_exponential(w, t)``), and only the phase pays for a complex exp.
-    Past ``rate.real t = 709.78`` the real factor is inf, and so is the
-    product.  The rows are arrays of ``work`` if one is given.
+    ``span`` is ``|t|``, ``zeros`` the indices of ``t == 0``, ``top`` the
+    largest ``|t|`` (0 on an empty grid) and ``low`` the least ``|t| > 0``.
+    Row ``m`` of ``e_decays``, an array of ``work``, is ``e^{-d t}`` for the
+    decay ``d = decays[m]``, by the rule of ``_rate_exponentials``.
     """
-    work = _Work() if work is None else work
+
+    def __init__(self, t: np.ndarray, decays, work: _Work):
+        self.t, self.decays, self.work = t, decays, work
+        self.span = np.abs(t)
+        self.zeros = np.flatnonzero(t == 0.0)
+        self.top = float(np.max(self.span)) if t.size else 0.0
+        self.low = float(self.span[self.span > 0.0].min(initial=math.inf))
+        self._phase = (None, None)  # the latest frequency asked for, and its phase
+        dtype = complex if any(complex(decay).imag for decay in decays) else float
+        self.e_decays = work("decays", len(decays), t.size, dtype)
+        for row, decay in zip(self.e_decays, decays):
+            row[...] = _rate_exponentials(self, [-complex(decay)])[0]
+
+    def phase(self, frequency: float) -> np.ndarray:
+        """``_phase_exponential(frequency, t)``, kept until another frequency is asked for."""
+        if self._phase[0] != frequency:
+            self._phase = (frequency, _phase_exponential(frequency, self.t))
+        return self._phase[1]
+
+
+def _rate_exponentials(grid: _Grid, rates) -> np.ndarray:
+    """Rows ``e^{rate t}`` on ``grid`` for ``rates`` of one imaginary part ``w``.
+
+    Each row is numpy's real ``np.exp(rate.real * t)``, taken once per
+    distinct rate, times the phase ``grid.phase(w)`` where ``w != 0``, so
+    only the phase pays for a complex exp.  Past ``rate.real t = 709.78``
+    the real factor is inf, and so is the product.  The rows are arrays of
+    ``grid.work``.
+    """
     rates = [complex(rate) for rate in rates]
-    shape = (len(rates), t.size)
-    out = np.multiply.outer([rate.real for rate in rates], t,
-                            out=work("real rates", *shape, float))
+    shape = (len(rates), grid.t.size)
+    distinct = list(dict.fromkeys(rates))
+    out = np.multiply.outer([rate.real for rate in distinct], grid.t,
+                            out=grid.work("real rates", len(distinct), grid.t.size, float))
     np.exp(out, out=out)  # in place: the same bits as into a new array
+    if len(distinct) < len(rates):  # mode "clip" takes into out; "raise" buffers a copy
+        out = np.take(out, [distinct.index(rate) for rate in rates], axis=0,
+                      out=grid.work("shared rates", *shape, float), mode="clip")
     w = rates[0].imag if rates else 0.0
     if not w:
         return out
-    return np.multiply(out, _phase_exponential(w, t) if phase is None else phase,
-                       out=work("rates", *shape))
+    return np.multiply(out, grid.phase(w), out=grid.work("rates", *shape))
 
 
 def _series_sums(power: int, lams, ts: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -641,17 +653,13 @@ def _series_sums(power: int, lams, ts: np.ndarray, owner: np.ndarray) -> np.ndar
     return np.cumsum(scaled, axis=0, out=scaled)[-1]
 
 
-def _moment_block(powers, rates, decays, t, e_decay, phase=None, work=None,
-                  grid=None) -> np.ndarray:
+def _moment_block(grid: _Grid, powers, rates, ms) -> np.ndarray:
     """``integral_0^t e^{-decay (t-s)} s^power e^{rate s} ds`` for a block of rows.
 
-    Row ``i`` is ``(powers[i], rates[i], decays[i])`` on the 1-D grid ``t``;
-    the result has shape ``(rows, t.size)`` and is an array of ``work`` if
-    one is given.  ``e_decay[i]`` must be ``_decay_exponential(decays[i],
-    t)``.  The rates must share one imaginary part ``w``; ``phase``, if
-    given, must be ``_phase_exponential(w, t)``, and each distinct ``(rate,
-    decay)`` forms its ``e^{rate t}`` once with it (``_rate_exponentials``).
-    ``grid``, if given, must be ``_grid(t)``.
+    Row ``i`` is ``(powers[i], rates[i], grid.decays[ms[i]])`` on the grid;
+    the result has shape ``(rows, t.size)`` and is an array of
+    ``grid.work``.  The rates must share one imaginary part, and each
+    distinct rate takes its real exp once (``_rate_exponentials``).
 
     Each row keeps one rule per node: the by-parts form on the whole axis,
     then the series nodes and ``t = 0`` (exactly ``+0j``) written over it.
@@ -660,24 +668,21 @@ def _moment_block(powers, rates, decays, t, e_decay, phase=None, work=None,
     by the same numpy loops whichever rows share the block, so each row has
     the bits of its one-row block.
     """
-    work = _Work() if work is None else work
-    span, zeros, top, low = _grid(t) if grid is None else grid
-    lams = [complex(rate) + complex(decay) for rate, decay in zip(rates, decays)]
+    lams = [complex(rate) + complex(grid.decays[m]) for rate, m in zip(rates, ms)]
     sizes = [abs(lam) for lam in lams]
     # the series regime, |lam| |t| <= 1 (_series_regime), is every node of a
     # row where |lam| max|t| <= 1, its t = 0 nodes where |lam| is finite,
     # and some node t != 0 where |lam| times the least |t| > 0 is at most 1
-    parts = [i for i, size in enumerate(sizes) if not size * top <= 1.0]
+    parts = [i for i, size in enumerate(sizes) if not size * grid.top <= 1.0]
     if len(parts) == len(lams):
-        out = _by_parts(powers, lams, rates, decays, parts, t, e_decay, phase, work)
+        out = _by_parts(grid, powers, lams, rates, ms, parts)
     else:
-        out = np.zeros((len(lams), t.size), dtype=complex)
+        out = np.zeros((len(lams), grid.t.size), dtype=complex)
         if parts:
-            out[parts] = _by_parts(powers, lams, rates, decays, parts, t, e_decay[parts],
-                                   phase, work)
+            out[parts] = _by_parts(grid, powers, lams, rates, ms, parts)
     finite = [i for i, size in enumerate(sizes) if math.isfinite(size)]
-    out[np.ix_(finite, zeros) if len(finite) < len(lams) else (slice(None), zeros)] = 0j
-    rows = [i for i, size in enumerate(sizes) if size * low <= 1.0]
+    out[np.ix_(finite, grid.zeros) if len(finite) < len(lams) else (slice(None), grid.zeros)] = 0j
+    rows = [i for i, size in enumerate(sizes) if size * grid.low <= 1.0]
     step = max(1, MOMENT_CHUNK // (2 * NUMERIC_TERMS))  # series nodes at a time
     for power in sorted({powers[i] for i in rows}):
         mine = [i for i in rows if powers[i] == power]
@@ -685,32 +690,24 @@ def _moment_block(powers, rates, decays, t, e_decay, phase=None, work=None,
         # |lam|, so only those nodes are compared, in the same (owner, node)
         # order
         least = min(sizes[i] for i in mine)
-        candidates = np.flatnonzero((least * span <= 1.0) & (span > 0.0))
-        owners, nodes = np.nonzero(_series_regime([sizes[i] for i in mine], t[candidates]))
+        candidates = np.flatnonzero((least * grid.span <= 1.0) & (grid.span > 0.0))
+        owners, nodes = np.nonzero(_series_regime([sizes[i] for i in mine], grid.t[candidates]))
         nodes = candidates[nodes]
         for start in range(0, owners.size, step):
             owner, node = owners[start:start + step], nodes[start:start + step]
-            sums = _series_sums(power, [lams[i] for i in mine], t[node], owner)
+            sums = _series_sums(power, [lams[i] for i in mine], grid.t[node], owner)
             owner = np.array(mine)[owner]
             # named, so numpy never multiplies into a temporary in place
-            weights = e_decay[owner, node]
+            weights = grid.e_decays[np.array(ms)[owner], node]
             out[owner, node] = weights * sums
     return out
 
 
-def _grid(t: np.ndarray) -> tuple:
-    """``(|t|, indices of t == 0, max |t|, least |t| > 0)`` of a 1-D grid, for ``_moment_block``."""
-    span = np.abs(t)
-    top = float(np.max(span)) if t.size else 0.0
-    return span, np.flatnonzero(t == 0.0), top, float(span[span > 0.0].min(initial=math.inf))
-
-
-def _by_parts(powers, lams, rates, decays, rows, t, e_decay, phase, work):
+def _by_parts(grid: _Grid, powers, lams, rates, ms, rows):
     """The by-parts form of ``_moment_block`` for ``rows``, on the whole axis.
 
-    ``e_decay`` holds the decay exponentials of ``rows`` only.  Each row's
-    divisors ``lam^(j+1)``, ``c / d`` and ``a0 / b0`` come from its
-    ``_moment_terms`` as Python scalars.  Term ``j`` is added in one step
+    Each row's divisors ``lam^(j+1)``, ``c / d`` and ``a0 / b0`` come from
+    its ``_moment_terms`` as Python scalars.  Term ``j`` is added in one step
     for the rows of each power that have one, in ``_moment_terms`` order, to
     a sum that starts at ``+0`` as the one-row sum does, and the ``t^0`` term
     is one constant; the rows of one power share their numerator ``a t^k``
@@ -718,6 +715,7 @@ def _by_parts(powers, lams, rates, decays, rows, t, e_decay, phase, work):
     Rows ordered by power make each step a slice.  Complex products always go
     to an array that is not an input.
     """
+    t, work = grid.t, grid.work
     terms = [_moment_terms(powers[i], lams[i], False, NUMERIC_TERMS) for i in rows]
     degrees = [powers[i] for i in rows]
     shape = (len(rows), t.size)
@@ -737,17 +735,15 @@ def _by_parts(powers, lams, rates, decays, rows, t, e_decay, phase, work):
                                      out=work("rates", len(group), t.size))
                 _add_rows(poly, group, quotient)
         poly += constant
-    keys = [(rates[i], decays[i]) for i in rows]
-    shared = list(dict.fromkeys(keys))
-    rate_part = _rate_exponentials([rate for rate, _ in shared], t, phase, work)
-    if len(shared) < len(keys):
-        rate_part = rate_part[[shared.index(key) for key in keys]]
+    # e^{rate t} does not depend on the decay: rows of one rate share its exp
+    rate_part = _rate_exponentials(grid, [rates[i] for i in rows])
     # never in place: numpy multiplies a complex array into one of its
     # operands with other bits than into a new array
     moments = np.multiply(poly, rate_part, out=work("moments", *shape))
     # poly is spent, so its array takes the decay part
     decay_part = np.multiply(np.array([a0 / b0 for *_, (a0, _, b0, _) in terms])[:, None],
-                             e_decay, out=work("poly", *shape))
+                             grid.e_decays[_index([ms[i] for i in rows])],
+                             out=work("poly", *shape))
     return np.add(moments, decay_part, out=moments)
 
 
@@ -763,8 +759,8 @@ def exp_kernel_moment(power: int, rate: complex, decay: complex, t) -> np.ndarra
     """
     arr = np.asarray(t, dtype=float)
     flat = arr.reshape(-1)
-    out = _moment_block([int(power)], [complex(rate)], [decay], flat,
-                        _decay_rows([decay], flat))[0]
+    # its own arena: the result is one of its arrays
+    out = _moment_block(_Grid(flat, [decay], _Work()), [int(power)], [complex(rate)], [0])[0]
     return out[0] if arr.ndim == 0 else out.reshape(arr.shape)
 
 
@@ -796,31 +792,30 @@ def _duhamel_table(sums, t, decays, real=False) -> np.ndarray:
     ``+0`` and adds its finished parts in increasing order of ``f``, then in
     list order.  A part is never ``-0.0``, so a one-part row is that part.
 
-    The table forms ``e^{-d t}`` once per decay (``_decay_rows``) and takes
-    one frequency at a time, in the thread's ``_Work``, forming its phase
-    ``e^{i f t}`` once if ``f != 0``.  Every distinct ``(m, power, rate)``
-    of a frequency is one moment row of a block of ``_moment_block``, so
-    parts share the moments of their common terms.  Rows are ordered by
-    ``(m, power, rate)``, the order of each ``g``'s terms, and blocks hold
-    whole decays where they fit, so each distinct ``(m, rate)`` of a block
-    forms its ``e^{(rate + i f) t}`` once.
+    The table has one ``_Grid`` on the thread's ``_Work``, which forms
+    ``e^{-d t}`` once per decay, and takes one frequency at a time, whose
+    phase ``e^{i f t}`` the grid forms once if ``f != 0``.  Every distinct
+    ``(m, power, rate)`` of a frequency is one moment row of a block of
+    ``_moment_block``, so parts share the moments of their common terms.
+    Rows are ordered by ``(m, power, rate)``, the order of each ``g``'s
+    terms, and blocks hold whole decays where they fit; each distinct rate
+    of a block takes the real exp of its ``e^{(rate + i f) t}`` once.
     """
-    work = _work()
+    grid = _Grid(t, decays, _work())
     out = np.zeros((len(sums), t.size), float if real else complex)
-    e_decays = _decay_rows(decays, t, work)
-    grid = _grid(t)
     frequencies = {}  # f -> its parts, each with its row, in row order
     for r, row in enumerate(sums):
         for part in row:
             frequencies.setdefault(part[2], []).append((r, part))
     for f in sorted(frequencies):
-        _add_parts(out, frequencies[f], f, t, decays, e_decays, grid, work)
+        _add_parts(grid, out, frequencies[f], f)
     return out
 
 
-def _add_parts(table, pairs, frequency, t, decays, e_decays, grid, work) -> None:
+def _add_parts(grid: _Grid, table, pairs, frequency) -> None:
     """Add the parts of one ``frequency`` of ``_duhamel_table``, ``pairs`` of
-    ``(row, part)`` in order of row, into ``table``; ``grid`` is ``_grid(t)``."""
+    ``(row, part)`` in order of row, into ``table``, on the table's grid."""
+    t, work = grid.t, grid.work
     rows, parts = zip(*pairs)
     keys = sorted({(m, power, rate) for m, g, _, _ in parts for _, power, rate in g.terms})
     if not keys:
@@ -828,9 +823,8 @@ def _add_parts(table, pairs, frequency, t, decays, e_decays, grid, work) -> None
     real = table.dtype == float
     out = work("parts", len(parts), t.size, table.dtype)
     out.fill(0.0)
-    phase = _phase_exponential(frequency, t) if frequency else None
     full = {rate: rate + 1j * frequency for _, _, rate in keys}
-    step = max(1, MOMENT_CHUNK // t.size)
+    step = max(1, MOMENT_CHUNK // max(1, t.size))
     first = {}  # m -> its first row
     for i, (m, _, _) in enumerate(keys):
         first.setdefault(m, i)
@@ -863,10 +857,8 @@ def _add_parts(table, pairs, frequency, t, decays, e_decays, grid, work) -> None
         order = sorted(range(start, stop), key=lambda i: (keys[i][1], used[i]))
         mine = [keys[i] for i in order]
         position = {i: n for n, i in enumerate(order)}
-        values = _moment_block([power for _, power, _ in mine], [full[rate] for *_, rate in mine],
-                               [decays[m] for m, _, _ in mine], t,
-                               e_decays[_index([m for m, _, _ in mine])], phase, work=work,
-                               grid=grid)
+        values = _moment_block(grid, [power for _, power, _ in mine],
+                               [full[rate] for *_, rate in mine], [m for m, _, _ in mine])
         here = sorted(adds[block])
         # the rate exponentials and the decay part are spent: their arrays
         # take the terms

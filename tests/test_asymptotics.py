@@ -22,7 +22,7 @@ from osckit.catalog import (
     SlowFunction,
     SourceFactor,
 )
-from osckit.forward import HeatProblem
+from osckit.forward import HeatProblem, solve_heat
 from osckit.scenarios import builtin_scenario
 
 from _oracles import (
@@ -415,9 +415,9 @@ class TestModalRemainder:
         calls = []
         block = catalog._moment_block
 
-        def counted(powers, rates, decays, *rest, **work):
-            calls.extend(zip(powers, rates, decays))
-            return block(powers, rates, decays, *rest, **work)
+        def counted(grid, powers, rates, ms):
+            calls.extend(zip(powers, rates, [grid.decays[m] for m in ms]))
+            return block(grid, powers, rates, ms)
 
         monkeypatch.setattr(catalog, "_moment_block", counted)
         residual_norm(problem)
@@ -448,6 +448,44 @@ class TestModalRemainder:
                        for _, a, b in oscillation.harmonics for c in (a, b))
         calls = self.count_moments(monkeypatch, problem)
         assert 2 * len(calls) == per_part
+
+
+def test_work_counts_do_not_depend_on_omega(monkeypatch):
+    # the paper's first claim as counts: on a fixed grid a forward solve takes
+    # the same moment blocks and series chunks, of the same sizes, at any
+    # omega, and residual_norm takes the amplitudes of exactly its resolving
+    # grid's nodes
+    calls, nodes = [], []
+    block, series = catalog._moment_block, catalog._series_sums
+    monkeypatch.setattr(catalog, "_moment_block", lambda grid, powers, rates, ms:
+                        calls.append(("block", len(powers), grid.t.size))
+                        or block(grid, powers, rates, ms))
+    monkeypatch.setattr(catalog, "_series_sums", lambda power, lams, ts, owner:
+                        calls.append(("series", len(lams), ts.size))
+                        or series(power, lams, ts, owner))
+    # spectral-shaped: 48 modes of two-term coefficients, a two-term mean,
+    # three harmonics with cos and sin pieces
+    envelope = SineSeries({n: SlowFunction([(0.9 / n, 0, 1.2 - 0.1 * n),
+                                            (-0.6 / n, 1, -0.05 * n)])
+                           for n in range(1, 49)})
+    oscillation = FastProfile([(k, SlowFunction([(0.4, 0, 0.5 * k), (-0.3, 1, -1.1)]),
+                                SlowFunction.monomial(0.7, 0, -0.2 * k)) for k in (1, 2, 3)])
+    factor = SourceFactor(SlowFunction([(1.0, 0, 0.0), (0.5, 1, -0.3)]), oscillation)
+    sequences = []
+    for omega in (1e3, 1e5, 1e8, 1e12):
+        calls.clear()
+        solve_heat(HeatProblem(envelope, factor, omega, 1.0, n_max=64), 65, 513)
+        sequences.append(list(calls))
+    assert any(kind == "series" for kind, _, _ in sequences[0])
+    assert all(sequence == sequences[0] for sequence in sequences)
+
+    amplitudes = asymptotics.oscillatory_amplitudes
+    monkeypatch.setattr(asymptotics, "oscillatory_amplitudes", lambda problem, modes, t:
+                        nodes.append(t.size) or amplitudes(problem, modes, t))
+    for omega, count in ((64.0, 513), (1e3, 2548), (3e4, 76396)):
+        nodes.clear()
+        residual_norm(reference_problem(omega))
+        assert sum(nodes) == resolving_time_count(omega, 1.0) == count
 
 
 class TestSynthesis:

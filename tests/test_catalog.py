@@ -340,17 +340,28 @@ class TestDuhamel:
         singles = [duhamel_oscillatory(3, g, 40.0, t) for g in (cos, sin)]
         calls = []
         block = catalog._moment_block
-        monkeypatch.setattr(catalog, "_moment_block", lambda powers, *args, **work:
-                            calls.extend(powers) or block(powers, *args, **work))
-        decays = []
-        decay = catalog._decay_exponential
-        monkeypatch.setattr(catalog, "_decay_exponential",
-                            lambda *args: decays.append(args) or decay(*args))
+        monkeypatch.setattr(catalog, "_moment_block", lambda grid, powers, rates, ms:
+                            calls.extend(powers) or block(grid, powers, rates, ms))
+        batches, phases = [], []
+        form, phase = catalog._rate_exponentials, catalog._phase_exponential
+        monkeypatch.setattr(catalog, "_rate_exponentials", lambda grid, rates:
+                            batches.append([complex(r) for r in rates]) or form(grid, rates))
+        monkeypatch.setattr(catalog, "_phase_exponential",
+                            lambda w, t: phases.append(w) or phase(w, t))
         pair = catalog._duhamel_table([[(0, cos, 40.0, False)], [(0, sin, 40.0, False)]], t,
                                       [9.0])
         assert len(calls) == 3  # (0, 0.0) is shared
         assert all(np.array_equal(p, q) for p, q in zip(pair, singles))
-        assert len(decays) == 1  # one e^{-n^2 t} serves all three moments
+        # one e^{-n^2 t} and one phase serve all three moments
+        assert [batch for batch in batches if not batch[0].imag] == [[-9.0]]
+        assert phases == [40.0]
+
+    def test_empty_grid_gives_an_empty_table(self):
+        g = SlowFunction([(1.0, 1, -0.5), (2.0, 0, 0.0)])
+        assert duhamel_weight(1, g, np.array([])).shape == (0,)
+        assert duhamel_oscillatory(2, g, 5.0, np.zeros((2, 0))).shape == (2, 0)
+        assert catalog._duhamel_weights([1, 2], [g, g], np.array([])).shape == (2, 0)
+        assert exp_kernel_moment(0, 1j, 1.0, []).shape == (0,)
 
 
 class TestExpKernelMomentZeroNode:
@@ -427,8 +438,7 @@ class TestExpKernelMomentWholeAxis:
 
 def test_only_catalog_touches_the_exponentials_and_work_arrays():
     # the Duhamel table forms its own exponentials; other modules pass it data
-    private = {"_decay_rows", "_phase_exponential", "_rate_exponentials",
-               "_decay_exponential", "_Work", "_work"}
+    private = {"_Grid", "_phase_exponential", "_rate_exponentials", "_Work", "_work"}
     for path in sorted(Path(catalog.__file__).parent.glob("*.py")):
         if path.name != "catalog.py":
             tree = ast.parse(path.read_text())

@@ -520,11 +520,11 @@ class TestEmit:
         # are checked end to end
         rows = []
 
-        def oracle(powers, rates, decays, t, *exponentials, **work):
+        def oracle(grid, powers, rates, ms):
             rows.extend(powers)
-            return np.reshape([exp_kernel_moment_40(power, rate, decay, t)
-                               for power, rate, decay in zip(powers, rates, decays)],
-                              (len(powers), t.size))
+            return np.reshape([exp_kernel_moment_40(power, rate, grid.decays[m], grid.t)
+                               for power, rate, m in zip(powers, rates, ms)],
+                              (len(powers), grid.t.size))
 
         monkeypatch.setattr(catalog, "_moment_block", oracle)
         assert reports() == texts

@@ -210,36 +210,38 @@ class TestSolveHeat:
             assert row.tobytes() == want.tobytes(), n
 
     def test_one_phase_per_harmonic_one_decay_per_mode(self, monkeypatch):
-        formed, rates = [], []
-
-        def spied(name, form):
-            return lambda arg, t: formed.append((name, arg)) or form(arg, t)
-
-        # the table forms the decays and the phases; the moment batches form
-        # neither
-        for name in ("_phase_exponential", "_decay_exponential"):
-            monkeypatch.setattr(catalog, name, spied(name, getattr(catalog, name)))
-        form = catalog._rate_exponentials
-        monkeypatch.setattr(catalog, "_rate_exponentials", lambda batch, *args:
-                            rates.extend(np.asarray(batch).tolist()) or form(batch, *args))
-        key = lambda z: (z.real, z.imag)  # noqa: E731
-        # in "small" the cos and sin parts of harmonic 2 share rates across powers
+        formed, batches = [], []
+        phase, form = catalog._phase_exponential, catalog._rate_exponentials
+        monkeypatch.setattr(catalog, "_phase_exponential",
+                            lambda w, t: formed.append(w) or phase(w, t))
+        monkeypatch.setattr(catalog, "_rate_exponentials", lambda grid, batch:
+                            batches.append((grid, [complex(r) for r in batch]))
+                            or form(grid, batch))
+        # in "small" the cos and sin parts of harmonic 2 share rates across
+        # powers, and the modes share rates; each harmonic is one block there
         for case in ("small", "spectral"):
             envelope, oscillation, omega, t = self.SHARED_CASES[case]
             problem = HeatProblem(envelope, SourceFactor(LINEAR_MEAN, oscillation), omega, 1.0)
             formed.clear()
-            rates.clear()
+            batches.clear()
             mode_amplitudes(problem, problem.active_modes, t)
-            assert formed == ([("_decay_exponential", float(n * n)) for n in problem.active_modes]
-                              + [("_phase_exponential", omega * k)
-                                 for k, _, _ in oscillation.harmonics])
-            # one e^{(r + i k omega) t} per (mode, harmonic, distinct term rate
-            # r); the decays' own rates -n^2 are the real ones
-            shared = [r + 1j * (k * omega) for n in problem.active_modes
-                      for k, a, b in oscillation.harmonics
-                      for r in {term[2] for c in (a, b)
-                                for term in (envelope.coefficient(n) * c).terms}]
-            assert sorted((r for r in rates if r.imag), key=key) == sorted(shared, key=key)
+            # one grid for the whole table forms the decays first, one row
+            # per mode; the moment batches form neither decays nor phases
+            modes = problem.active_modes
+            assert len({id(grid) for grid, _ in batches}) == 1
+            assert [batch for _, batch in batches[:len(modes)]] == [[-float(n * n)]
+                                                                    for n in modes]
+            assert formed == [omega * k for k, _, _ in oscillation.harmonics]
+            # a block asks for e^{(r + i k omega) t} per moment row and takes
+            # one real exp per distinct term rate r, whichever modes share
+            # it; the decays' own rates -n^2 and the mean's rates are the
+            # real ones
+            wanted = {r + 1j * (k * omega) for n in modes for k, a, b in oscillation.harmonics
+                      for c in (a, b) for _, _, r in (envelope.coefficient(n) * c).terms}
+            blocks = [set(batch) for _, batch in batches[len(modes):] if batch[0].imag]
+            assert set().union(*blocks) == wanted
+            if case == "small":
+                assert sum(map(len, blocks)) == len(wanted)
 
     def test_tail_warning_for_truncated_modes(self):
         envelope = SineSeries({1: 1.0, 40: 0.5})
@@ -269,6 +271,27 @@ class TestModeAmplitudes:
             tracemalloc.stop()
         assert peak < 4e6
 
+    def test_empty_grid_gives_empty_amplitudes(self):
+        modes = self.PROBLEM.active_modes
+        mean, osc = mode_amplitudes(self.PROBLEM, modes, np.array([]))
+        assert mean.shape == osc.shape == (len(modes), 0)
+
+    def test_complex_table_keeps_the_real_parts_array(self):
+        # the thread's arena keeps one array per name and dtype, so a complex
+        # one-part table between two real solves takes nothing from them
+        t = np.linspace(0.0, 1.0, 513)
+        modes = self.PROBLEM.active_modes
+        arrays = catalog._work()._arrays
+
+        def real_parts():
+            return [a for key, a in arrays.items() if key[0] == "parts" and a.dtype == float]
+
+        mode_amplitudes(self.PROBLEM, modes, t)
+        before = real_parts()
+        duhamel_oscillatory(1, LINEAR_MEAN, 50.0, t)
+        mode_amplitudes(self.PROBLEM, modes, t)
+        assert len(before) == 1
+        assert real_parts()[0] is before[0]
 
     PROBLEM = HeatProblem(REFERENCE_ENVELOPE,
                           SourceFactor(LINEAR_MEAN, FastProfile([(1, 0.4, 1.0)])),

@@ -21,11 +21,11 @@ from osckit.catalog import (
     SineSeries,
     SlowFunction,
     SourceFactor,
-    _decay_exponential,
     _duhamel_table,
+    _Grid,
     _moment_block,
-    _phase_exponential,
     _rate_exponentials,
+    _Work,
     duhamel_oscillatory,
     duhamel_slow,
     exp_kernel_moment,
@@ -181,16 +181,13 @@ def moment_rows(draw):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(moment_rows(), st.booleans())
-def test_moment_block_rows_match_one_row_calls(rows, shared_phase):
+@given(moment_rows())
+def test_moment_block_rows_match_one_row_calls(rows):
     # a row of the batch has the bytes of its own exp_kernel_moment call,
     # whichever rows share its block; overflowing rows stay non-finite
     powers, rates, decays, t = rows
-    w = rates[0].imag
-    phase = _phase_exponential(w, t) if w and shared_phase else None
-    e_decay = np.array([_decay_exponential(d, t) for d in decays])
     with np.errstate(over="ignore", invalid="ignore"):
-        got = _moment_block(powers, rates, decays, t, e_decay, phase)
+        got = _moment_block(_Grid(t, decays, _Work()), powers, rates, list(range(len(decays))))
         for row, power, rate, decay in zip(got, powers, rates, decays):
             want = exp_kernel_moment(power, rate, decay, t)
             assert row.tobytes() == want.tobytes()
@@ -316,8 +313,10 @@ def test_rate_exponential_is_real_exponential_times_phase(case):
     with np.errstate(over="ignore"):
         real, phase = np.exp(g * t), np.exp(1j * w * t)
         want = np.multiply(real, phase)
-        for shared in (None, _phase_exponential(w, t)):
-            got = _rate_exponentials([complex(g, w)], t, shared)[0]
+        # a repeated rate takes one real exp, and each of its rows is the same
+        rates = [complex(g, w), complex(0.0, w), complex(g, w)]
+        rows = _rate_exponentials(_Grid(t, [], _Work()), rates)
+        for got in rows[::2]:
             assert got.tobytes() == want.tobytes()  # signed zeros too
 
 
@@ -326,7 +325,7 @@ def test_rate_exponential_is_real_exponential_times_phase(case):
 def test_rate_exponential_within_two_ulp_of_complex_exponential(case):
     g, w, t = case
     with np.errstate(over="ignore", invalid="ignore"):
-        got = _rate_exponentials([complex(g, w)], t, _phase_exponential(w, t))[0]
+        got = _rate_exponentials(_Grid(t, [], _Work()), [complex(g, w)])[0]
         want = np.exp(complex(g, w) * t)
         ulp = np.spacing(np.exp(g * t))
     finite = np.isfinite(got) & np.isfinite(want)

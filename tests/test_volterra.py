@@ -277,8 +277,8 @@ class TestSeparableResolvent:
         # for real eigenvalues and for a complex pair beside a real one
         rhs = SlowFunction([(0.7, 1, 0.0), (-0.4, 0, -0.6), (0.2, 2, 0.3)])
         t = np.linspace(0.0, 2.0, 97)
-        decays = []
-        form = catalog._decay_exponential
+        batches = []
+        form = catalog._rate_exponentials
         for coeffs in ([0.5, -0.8, 0.3], [30.0, -40.0, 10.0]):
             resolvent = SeparableResolvent(1.3, [1, 2, 3], coeffs, rhs)
             want = np.zeros((3, t.size), dtype=complex)
@@ -288,11 +288,17 @@ class TestSeparableResolvent:
                     acc += coeff * exp_kernel_moment(power, rate, -lam, t)
                 row[:] = w * acc / resolvent.g0
             with monkeypatch.context() as patch:
-                patch.setattr(catalog, "_decay_exponential",
-                              lambda decay, t: decays.append(decay) or form(decay, t))
-                decays.clear()
+                patch.setattr(catalog, "_rate_exponentials", lambda grid, rates:
+                              batches.append([complex(r) for r in rates]) or form(grid, rates))
+                batches.clear()
                 got = resolvent.mode_integrals(t)
-            assert len(decays) == 3  # one per eigenvalue
+            # one e^{lam t} per eigenvalue, then one real exp per rhs rate for
+            # all eigenvalues: the rate rows do not depend on the decay
+            assert batches[:3] == [[lam] for lam in resolvent.eigenvalues]
+            rates = [set(batch) for batch in batches[3:]]
+            assert sum(map(len, rates)) <= len(rhs.terms)
+            assert set().union(*rates) <= {complex(rate) for _, _, rate in rhs.terms}
+            assert sum(len(batch) for batch in batches[3:]) > sum(map(len, rates))
             assert got.tobytes() == (resolvent.vectors @ want).real.tobytes()
         assert np.iscomplexobj(resolvent.eigenvalues)
 
