@@ -610,21 +610,16 @@ class _Grid:
 def _rate_exponentials(grid: _Grid, rates) -> np.ndarray:
     """Rows ``e^{rate t}`` on ``grid`` for ``rates`` of one imaginary part ``w``.
 
-    Each row is numpy's real ``np.exp(rate.real * t)``, taken once per
-    distinct rate, times the phase ``grid.phase(w)`` where ``w != 0``, so
-    only the phase pays for a complex exp.  Past ``rate.real t = 709.78``
-    the real factor is inf, and so is the product.  The rows are arrays of
-    ``grid.work``.
+    Each row is numpy's real ``np.exp(rate.real * t)``, one per row, times
+    the phase ``grid.phase(w)`` where ``w != 0``, so only the phase pays
+    for a complex exp.  Past ``rate.real t = 709.78`` the real factor is
+    inf, and so is the product.  The rows are arrays of ``grid.work``.
     """
     rates = [complex(rate) for rate in rates]
     shape = (len(rates), grid.t.size)
-    distinct = list(dict.fromkeys(rates))
-    out = np.multiply.outer([rate.real for rate in distinct], grid.t,
-                            out=grid.work("real rates", len(distinct), grid.t.size, float))
+    out = np.multiply.outer([rate.real for rate in rates], grid.t,
+                            out=grid.work("real rates", *shape, float))
     np.exp(out, out=out)  # in place: the same bits as into a new array
-    if len(distinct) < len(rates):  # mode "clip" takes into out; "raise" buffers a copy
-        out = np.take(out, [distinct.index(rate) for rate in rates], axis=0,
-                      out=grid.work("shared rates", *shape, float), mode="clip")
     w = rates[0].imag if rates else 0.0
     if not w:
         return out
@@ -658,8 +653,8 @@ def _moment_block(grid: _Grid, powers, rates, ms) -> np.ndarray:
 
     Row ``i`` is ``(powers[i], rates[i], grid.decays[ms[i]])`` on the grid;
     the result has shape ``(rows, t.size)`` and is an array of
-    ``grid.work``.  The rates must share one imaginary part, and each
-    distinct rate takes its real exp once (``_rate_exponentials``).
+    ``grid.work``.  The rates must share one imaginary part, and each row
+    takes its own real exp (``_rate_exponentials``).
 
     Each row keeps one rule per node: the by-parts form on the whole axis,
     then the series nodes and ``t = 0`` (exactly ``+0j``) written over it.
@@ -733,9 +728,8 @@ def _by_parts(grid: _Grid, powers, lams, rates, ms, rows):
                 quotient = np.divide(a * (t if k == 1 else t ** k),
                                      np.array([terms[i][j][2] for i in group])[:, None],
                                      out=work("rates", len(group), t.size))
-                _add_rows(poly, group, quotient)
+                poly[_index(group)] += quotient
         poly += constant
-    # e^{rate t} does not depend on the decay: rows of one rate share its exp
     rate_part = _rate_exponentials(grid, [rates[i] for i in rows])
     # never in place: numpy multiplies a complex array into one of its
     # operands with other bits than into a new array
@@ -772,15 +766,6 @@ def _index(rows: list):
     return rows
 
 
-def _add_rows(out: np.ndarray, rows: list, values: np.ndarray) -> None:
-    """``out[rows] += values``, in place on a view where ``rows`` allow one."""
-    index = _index(rows)
-    if isinstance(index, slice):
-        np.add(out[index], values, out=out[index])
-    else:
-        out[index] += values
-
-
 def _duhamel_table(sums, t, decays, real=False) -> np.ndarray:
     """Rows that are sums of ``integral_0^t e^{-d (t-s)} g(s) e^{i f s} ds``, a new array.
 
@@ -798,8 +783,8 @@ def _duhamel_table(sums, t, decays, real=False) -> np.ndarray:
     ``(m, power, rate)`` of a frequency is one moment row of a block of
     ``_moment_block``, so parts share the moments of their common terms.
     Rows are ordered by ``(m, power, rate)``, the order of each ``g``'s
-    terms, and blocks hold whole decays where they fit; each distinct rate
-    of a block takes the real exp of its ``e^{(rate + i f) t}`` once.
+    terms, and blocks hold whole decays where they fit; each moment row
+    takes the real exp of its ``e^{(rate + i f) t}``.
     """
     grid = _Grid(t, decays, _work())
     out = np.zeros((len(sums), t.size), float if real else complex)
@@ -876,7 +861,7 @@ def _add_parts(grid: _Grid, table, pairs, frequency) -> None:
             hi = lo + 1
             while hi < len(here) and here[hi][0] == here[lo][0]:
                 hi += 1
-            _add_rows(out, [add[1] for add in here[lo:hi]], terms[lo:hi])
+            out[_index([add[1] for add in here[lo:hi]])] += terms[lo:hi]
             lo = hi
     # a row's parts are adjacent: round q adds the q-th part of each row
     plan, q = [], 0
@@ -886,7 +871,7 @@ def _add_parts(grid: _Grid, table, pairs, frequency) -> None:
             plan.append([])
         plan[q].append(j)
     for add in plan:
-        _add_rows(table, [rows[j] for j in add], out[_index(add)])
+        table[_index([rows[j] for j in add])] += out[_index(add)]
 
 
 def _duhamel_weights(ns, gs, t: np.ndarray) -> np.ndarray:
@@ -907,8 +892,8 @@ def duhamel_oscillatory(n: int, g: SlowFunction, frequency: float, t):
     Real part gives the cos-modulated integral, imaginary part the
     sin-modulated one.  This is the table (``_duhamel_table``) of one part:
     all moments share one real ``e^{-n^2 t}`` and one phase ``e^{i frequency
-    t}``, and each distinct term rate ``r`` takes its ``e^{(r + i
-    frequency) t}`` once, as the real ``e^{r t}`` times that phase.
+    t}``, and each moment of a term of rate ``r`` takes its ``e^{(r + i
+    frequency) t}`` as the real ``e^{r t}`` times that phase.
     """
     arr = np.asarray(t, dtype=float)
     table = _duhamel_table([[(0, g, frequency, False)]], arr.reshape(-1),

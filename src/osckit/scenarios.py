@@ -135,9 +135,20 @@ READS = {
 }
 KINDS = tuple(READS)
 
-# The optional functions: ``r1`` zero, ``alpha`` none (a single point).
-FUNCTION_DEFAULTS = {"r1": FastProfile.zero(), "alpha": ()}
-FUNCTIONS = set().union(*(funcs for _, funcs in READS.values()))
+# name -> (catalog type, default): everything known about a function.  A
+# missing or null function reads its default; only the optional ``r1`` has
+# one (zero), and every kind that reads another function requires it.
+# ``alpha`` is a list of slow functions, one per interior point, or one
+# such function alone.
+FUNCTIONS = {
+    "f": (SineSeries, None),
+    "r0": (SlowFunction, None),
+    "r1": (FastProfile, FastProfile.zero()),
+    "phi0": (SlowFunction, None),
+    "phi2": (FastProfile, None),
+    "psi": (SineSeries, None),
+    "alpha": (SlowFunction, None),
+}
 
 
 @dataclass(frozen=True)
@@ -160,6 +171,8 @@ class Scenario:
                     raise ScenarioError(f"{what} {name!r} is not read by kind "
                                         f"{self.kind!r}, which reads: "
                                         f"{', '.join(sorted(reads))}")
+        for name, required in sorted(READS[self.kind][1].items()):
+            self._check_function(name, required)
         p = {name: self.param(name) for name in READS[self.kind][0]}
         if None not in (p.get("t0"), p.get("T")) and p["t0"] > p["T"]:
             raise ScenarioError("parameter 't0' must not exceed 'T'")
@@ -186,13 +199,27 @@ class Scenario:
             raise ScenarioError(f"missing parameter {name!r} for kind {self.kind!r}")
         return default
 
-    def function(self, name: str):
+    def _check_function(self, name: str, required: bool) -> None:
+        """A function the kind reads is present if required, and of its type."""
         value = self.functions.get(name)
-        if value is not None:
-            return value
-        if name in FUNCTION_DEFAULTS:
-            return FUNCTION_DEFAULTS[name]
-        raise ScenarioError(f"missing function {name!r} for kind {self.kind!r}")
+        if value is None:
+            if required:
+                raise ScenarioError(f"missing function {name!r} for kind {self.kind!r}")
+            return
+        cls = FUNCTIONS[name][0]
+        lists = name == "alpha"
+        items = value if lists and isinstance(value, (list, tuple)) else (value,)
+        for item in items:
+            if not isinstance(item, cls):
+                tag = next(tag for tag, (other, _) in FUNCTION_TAGS.items() if other is cls)
+                raise ScenarioError(f"function {name!r} must be a {tag!r} function"
+                                    f"{' or a list of them' if lists else ''} for kind "
+                                    f"{self.kind!r}, got {type(item).__name__}")
+
+    def function(self, name: str):
+        """A function the kind reads, or its default."""
+        value = self.functions.get(name)
+        return FUNCTIONS[name][1] if value is None else value
 
 
 @dataclass
@@ -262,6 +289,8 @@ FUNCTION_TAGS = {"slow": (SlowFunction, payload_to_slow),
 
 def _function_to_payload(obj):
     """Tag a catalog object with its kind; ``_jsonable`` encodes the body."""
+    if obj is None:
+        return None
     if isinstance(obj, (list, tuple)):
         return [_function_to_payload(item) for item in obj]
     for tag, (cls, _) in FUNCTION_TAGS.items():
@@ -300,10 +329,8 @@ def parse_scenario_dict(data: dict) -> Scenario:
     for section, table in (("params", params), ("functions", raw_functions)):
         if not isinstance(table, dict):
             raise ScenarioError(f"{section!r} must be a JSON object, got {table!r}")
-    for name, required in sorted(READS[kind][1].items()):
-        if required and raw_functions.get(name) is None:
-            raise ScenarioError(f"missing function {name!r} for kind {kind!r}")
-    functions = {name: _payload_to_function(payload, name)
+    # a null function is kept as None, which reads as missing
+    functions = {name: None if payload is None else _payload_to_function(payload, name)
                  for name, payload in raw_functions.items()}
     return Scenario(kind, dict(params), functions)
 
@@ -561,7 +588,7 @@ def _run_inverse4(s: Scenario) -> tuple[dict, dict]:
         x_points=s.param("x_points"),
         leading=s.function("phi0"),
         oscillating=s.function("phi2"),
-        interior_traces=alpha if isinstance(alpha, tuple) else (alpha,),
+        interior_traces=alpha if isinstance(alpha, (list, tuple)) else (alpha,),
         horizon=s.param("T"),
     )
     rec = inv.recover_both_factors(

@@ -10,10 +10,12 @@ import pytest
 import osckit
 from osckit import asymptotics as asy
 from osckit import catalog
-from osckit.catalog import SlowFunction, SourceFactor, duhamel_weight
+from osckit.catalog import FastProfile, SlowFunction, SourceFactor, duhamel_weight
 from osckit.cli import main
 from osckit.forward import HeatProblem
 from osckit.scenarios import (
+    KINDS,
+    READS,
     Scenario,
     ScenarioError,
     builtin_names,
@@ -135,6 +137,32 @@ def asymptotics_payload(**params):
     for name in ("x0", "t_count"):
         del payload["params"][name]
     return payload
+
+
+# the tag each scenario function must carry, and a payload of another tag
+FUNCTION_TAG = {"f": "series", "r0": "slow", "r1": "fast", "phi0": "slow",
+                "phi2": "fast", "psi": "series", "alpha": "slow"}
+WRONG_PAYLOAD = {"slow": {"fast": [{"k": 1, "sin": [[1.0, 0, 0.0]]}]},
+                 "fast": {"slow": [[1.0, 0, 0.0]]},
+                 "series": {"slow": [[1.0, 0, 0.0]]}}
+
+
+def kind_payload(kind):
+    """A valid scenario of ``kind`` that gives each function it reads."""
+    golden = golden_payload()
+    trace = {name: golden["functions"][name] for name in ("phi0", "phi2")}
+    snapshot = snapshot_payload()
+    return {
+        "forward": forward_payload(),
+        "asymptotics": asymptotics_payload(),
+        "convergence": serialize_scenario(builtin_scenario("golden-convergence")),
+        "inverse1": {"kind": "inverse1", "params": {"x0": 1.5, "T": 2.0},
+                     "functions": dict(trace, f=forward_payload()["functions"]["f"])},
+        "inverse2": snapshot,
+        "inverse3": {"kind": "inverse3", "params": {"x0": 1.5, "t0": 1.0, "T": 2.0},
+                     "functions": dict(trace, **snapshot["functions"])},
+        "inverse4": golden,
+    }[kind]
 
 
 class TestParsing:
@@ -305,6 +333,33 @@ class TestParsing:
         payload[section][name] = value
         with pytest.raises(ScenarioError, match=where):
             parse_scenario(write_scenario(tmp_path, payload))
+
+    @pytest.mark.parametrize("kind, name", [(kind, name) for kind in KINDS
+                                            for name in READS[kind][1]])
+    def test_function_of_wrong_kind_named(self, kind, name):
+        payload = kind_payload(kind)
+        assert set(payload["functions"]) == set(READS[kind][1])
+        parse_scenario_dict(payload)
+        tag = FUNCTION_TAG[name]
+        wrong = [WRONG_PAYLOAD[tag]]
+        if name == "alpha":  # one slow function alone, or a list of them
+            wrong.append([payload["functions"]["alpha"][0], WRONG_PAYLOAD[tag]])
+        for value in wrong:
+            payload["functions"][name] = value
+            with pytest.raises(ScenarioError, match=f"function '{name}' must be a "
+                                                    f"'{tag}' function"):
+                parse_scenario_dict(payload)
+
+    def test_null_optional_function_reads_default(self):
+        payload = forward_payload()
+        payload["functions"]["r1"] = None
+        scenario = parse_scenario_dict(payload)
+        assert scenario.function("r1") == FastProfile.zero()
+        assert serialize_scenario(scenario)["functions"]["r1"] is None
+
+    def test_required_function_checked_at_construction(self):
+        with pytest.raises(ScenarioError, match="missing function 'f' for kind 'forward'"):
+            Scenario("forward", {"omega": 1.0, "T": 1.0}, {})
 
 
 class TestRun:
@@ -669,6 +724,25 @@ class TestCommandLine:
             parse_scenario(path)
         assert main(["forward", "--scenario", path, "--out", "-"]) == 1
         assert "osckit: scenario error: missing parameter 'omega'" \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_function_of_wrong_kind_is_scenario_error(self, kind, tmp_path, capsys):
+        payload = kind_payload(kind)
+        name = sorted(READS[kind][1])[0]
+        payload["functions"][name] = WRONG_PAYLOAD[FUNCTION_TAG[name]]
+        path = write_scenario(tmp_path, payload)
+        assert main([kind, "--scenario", path, "--out", "-"]) == 1
+        assert f"osckit: scenario error: function '{name}' must be a " \
+            f"'{FUNCTION_TAG[name]}' function" in capsys.readouterr().err
+
+    def test_fast_mean_in_convergence_is_scenario_error(self, tmp_path, capsys):
+        payload = serialize_scenario(builtin_scenario("golden-convergence"))
+        payload["functions"]["r0"] = serialize_scenario(
+            builtin_scenario("golden-forward"))["functions"]["r1"]
+        path = write_scenario(tmp_path, payload)
+        assert main(["convergence", "--scenario", path, "--out", "-"]) == 1
+        assert "osckit: scenario error: function 'r0' must be a 'slow' function" \
             in capsys.readouterr().err
 
     def test_misspelt_parameter_is_scenario_error(self, tmp_path, capsys):

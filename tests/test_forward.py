@@ -232,10 +232,10 @@ class TestSolveHeat:
             assert [batch for _, batch in batches[:len(modes)]] == [[-float(n * n)]
                                                                     for n in modes]
             assert formed == [omega * k for k, _, _ in oscillation.harmonics]
-            # a block asks for e^{(r + i k omega) t} per moment row and takes
-            # one real exp per distinct term rate r, whichever modes share
-            # it; the decays' own rates -n^2 and the mean's rates are the
-            # real ones
+            # a block asks for e^{(r + i k omega) t} per moment row, each row
+            # with its own real exp, whichever modes share the term rate r;
+            # in "small" no rate is asked for by two blocks.  The decays'
+            # own rates -n^2 and the mean's rates are the real ones
             wanted = {r + 1j * (k * omega) for n in modes for k, a, b in oscillation.harmonics
                       for c in (a, b) for _, _, r in (envelope.coefficient(n) * c).terms}
             blocks = [set(batch) for _, batch in batches[len(modes):] if batch[0].imag]

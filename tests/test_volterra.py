@@ -292,8 +292,9 @@ class TestSeparableResolvent:
                               batches.append([complex(r) for r in rates]) or form(grid, rates))
                 batches.clear()
                 got = resolvent.mode_integrals(t)
-            # one e^{lam t} per eigenvalue, then one real exp per rhs rate for
-            # all eigenvalues: the rate rows do not depend on the decay
+            # one e^{lam t} per eigenvalue, then the moment rows of all
+            # eigenvalues ask for the rhs rates, each rate in one batch only:
+            # the rate rows do not depend on the decay
             assert batches[:3] == [[lam] for lam in resolvent.eigenvalues]
             rates = [set(batch) for batch in batches[3:]]
             assert sum(map(len, rates)) <= len(rhs.terms)
