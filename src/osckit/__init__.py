@@ -53,7 +53,6 @@ from .inverse import (
     SpaceOscillationRecovery,
     TimeFactorRecovery,
     TraceObservation,
-    derivative_from_samples,
     implied_initial_layer,
     mode_weight_spectrum,
     recover_both_factors,
@@ -116,7 +115,6 @@ __all__ = [
     "recover_both_factors",
     "solve_snapshot_system",
     "solve_amplitude_system",
-    "derivative_from_samples",
     "TimeFactorRecovery",
     "SpaceFactorRecovery",
     "SpaceOscillationRecovery",

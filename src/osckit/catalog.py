@@ -58,6 +58,22 @@ def _require_finite(owner, *names: str) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _require_type(owner, name: str, cls: type) -> None:
+    """Raise ``TypeError`` naming ``owner``'s field ``name`` unless it is a ``cls``."""
+    value = getattr(owner, name)
+    if not isinstance(value, cls):
+        raise TypeError(f"{name} is not a {cls.__name__}, got {type(value).__name__}")
+
+
+def _require_count(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer, not a
+    bool, of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # slow time factors:  sum of c * t^m * e^{g t}
 # ---------------------------------------------------------------------------

@@ -21,7 +21,9 @@ from .catalog import (
     SineSeries,
     SourceFactor,
     _duhamel_table,
+    _require_count,
     _require_finite,
+    _require_type,
     sine_synthesis,
 )
 # stay importable here because bench/spans.py traces these bindings
@@ -44,15 +46,14 @@ class HeatProblem:
     n_max: int = 32
 
     def __post_init__(self):
-        if not isinstance(self.envelope, SineSeries):
-            raise TypeError(f"envelope {self.envelope!r} is not a SineSeries")
+        _require_type(self, "envelope", SineSeries)
+        _require_type(self, "factor", SourceFactor)
         _require_finite(self, "omega", "horizon")
         if self.omega <= 0:
             raise ValueError("omega must be positive")
         if self.horizon <= 0:
             raise ValueError("horizon must be positive")
-        if self.n_max < 1:
-            raise ValueError("n_max must be >= 1")
+        _require_count("n_max", self.n_max)
 
     @property
     def active_modes(self) -> list[int]:

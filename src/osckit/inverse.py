@@ -13,7 +13,7 @@ systems, a gauge ``r0(t0) = 1``, and a window-consistency condition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,9 @@ from .catalog import (  # noqa: F401
     SineSeries,
     SlowFunction,
     _duhamel_weights,
+    _require_count,
     _require_finite,
+    _require_type,
     duhamel_slow,
     duhamel_weight,
     sine_coefficients,
@@ -47,7 +49,6 @@ __all__ = [
     "recover_both_factors",
     "solve_snapshot_system",
     "solve_amplitude_system",
-    "derivative_from_samples",
     "TimeFactorRecovery",
     "SpaceFactorRecovery",
     "SpaceOscillationRecovery",
@@ -71,14 +72,9 @@ class IllConditionedSystemError(ValueError):
 # observations
 # ---------------------------------------------------------------------------
 
-def _check_leading(leading, horizon: float):
-    """Catalog or sampled, the leading trace is finite and vanishes at t = 0."""
-    if isinstance(leading, SlowFunction):
-        values = leading(np.linspace(0.0, horizon, 1025))
-    else:
-        values = np.atleast_1d(np.asarray(leading, dtype=float))
-        if not np.all(np.isfinite(values)):
-            raise ValueError("sampled leading trace must be finite")
+def _check_leading(leading: SlowFunction, horizon: float):
+    """The leading trace vanishes at t = 0."""
+    values = leading(np.linspace(0.0, horizon, 1025))
     if abs(values[0]) > 1e-10 * (1.0 + float(np.max(np.abs(values)))):
         raise ValueError("leading trace must vanish at t = 0")
 
@@ -87,19 +83,22 @@ def _check_leading(leading, horizon: float):
 class TraceObservation:
     """Two-term trace data at a single x0: leading + oscillating parts.
 
-    ``leading`` is a SlowFunction (or, for ``recover_time_factor`` only,
-    uniform samples on the recovery grid), ``oscillating`` a zero-mean
-    FastProfile.  The initial-layer component is
-    derivable from the oscillating part and may be supplied for checking.
+    ``leading`` is a SlowFunction that vanishes at t = 0, ``oscillating`` a
+    zero-mean FastProfile.  The initial-layer component is derivable from
+    the oscillating part and may be supplied for checking.
     """
 
     x0: float
-    leading: object
+    leading: SlowFunction
     oscillating: FastProfile
     horizon: float
     initial_layer: SlowFunction | None = None
 
     def __post_init__(self):
+        _require_type(self, "leading", SlowFunction)
+        _require_type(self, "oscillating", FastProfile)
+        if self.initial_layer is not None:
+            _require_type(self, "initial_layer", SlowFunction)
         _require_finite(self, "horizon")
         if not 0.0 < self.x0 < math.pi:
             raise ValueError(f"x0 = {self.x0:g} outside (0, pi)")
@@ -116,6 +115,7 @@ class SnapshotObservation:
     profile: SineSeries
 
     def __post_init__(self):
+        _require_type(self, "profile", SineSeries)
         _require_finite(self, "t0")
         if self.t0 <= 0:
             raise ValueError("t0 must be positive")
@@ -142,6 +142,8 @@ class MultiPointObservation:
     horizon: float
 
     def __post_init__(self):
+        _require_type(self, "leading", SlowFunction)
+        _require_type(self, "oscillating", FastProfile)
         _require_finite(self, "half_width", "horizon")
         object.__setattr__(self, "x_points", tuple(float(x) for x in self.x_points))
         object.__setattr__(self, "interior_traces", tuple(self.interior_traces))
@@ -150,10 +152,10 @@ class MultiPointObservation:
             raise ValueError("at least one observation point required")
         if len(self.interior_traces) != n - 1:
             raise ValueError("need one interior trace per point beyond x0")
-        if not all(isinstance(a, SlowFunction)
-                   for a in (self.leading,) + self.interior_traces):
-            raise TypeError("procedure 4 needs catalog (SlowFunction) traces; sampled "
-                            "leading traces are taken by procedure 1, recover_time_factor")
+        for a in self.interior_traces:
+            if not isinstance(a, SlowFunction):
+                raise TypeError("interior_traces is not a tuple of SlowFunction, "
+                                f"got a {type(a).__name__}")
         for x in self.x_points:
             if not 0.0 < x < math.pi:
                 raise ValueError(f"observation point {x:g} outside (0, pi)")
@@ -205,6 +207,7 @@ def mode_weight_spectrum(mean: SlowFunction, t0: float, n_max: int = 32,
                          tol: float = WEIGHT_ZERO_TOL) -> ModeWeightSpectrum:
     if t0 <= 0:
         raise ValueError("t0 must be positive")
+    _require_count("n_max", n_max)
     values = tuple(_duhamel_weights(range(1, n_max + 1), [mean] * n_max,
                                     np.array([float(t0)]))[:, 0].tolist())
     zeros = tuple(n for n, v in enumerate(values, start=1)
@@ -249,16 +252,6 @@ class TimeFactorRecovery:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _trace_rhs(leading, grid: np.ndarray) -> object:
-    """d(leading)/dt: closed form for catalog data, 4th-order stencils else."""
-    if isinstance(leading, SlowFunction):
-        return leading.derivative()
-    vals = np.asarray(leading, dtype=float)
-    if vals.shape != grid.shape:
-        raise ValueError("sampled leading trace must live on the recovery grid")
-    return derivative_from_samples(vals, float(grid[1] - grid[0]))
-
-
 def recover_time_factor(obs: TraceObservation, envelope: SineSeries,
                         n_max: int = 32, intervals: int = 2048) -> TimeFactorRecovery:
     """Mean factor via the trace Volterra equation, oscillation pointwise.
@@ -276,9 +269,7 @@ def recover_time_factor(obs: TraceObservation, envelope: SineSeries,
             f"(min {g_min:.2e})"
         )
     kernel = build_kernel(envelope, obs.x0, n_max)
-    # the problem checks horizon and intervals before its grid is sampled
-    problem = VolterraProblem(g, kernel, SlowFunction.zero(), obs.horizon, intervals)
-    problem = replace(problem, rhs=_trace_rhs(obs.leading, problem.grid()))
+    problem = VolterraProblem(g, kernel, obs.leading.derivative(), obs.horizon, intervals)
     return TimeFactorRecovery(
         solve(problem),
         _oscillation(obs.oscillating, g),
@@ -392,15 +383,12 @@ def recover_space_factor_and_oscillation(
         congruence_tol: float | None = None) -> SpaceOscillationRecovery:
     """Envelope by weight division, oscillation from the trace, data checked.
 
-    Requires every mode weight nonzero and a catalog leading trace.  The
-    recovered envelope must reproduce the leading-trace derivative through
-    the Volterra left side with the known mean factor; the sup of that
-    congruence residual is reported and compared against ``congruence_tol``
-    (default 1e-6 * (1 + sup |leading'|)).
+    Requires every mode weight nonzero.  The recovered envelope must
+    reproduce the leading-trace derivative through the Volterra left side
+    with the known mean factor; the sup of that congruence residual is
+    reported and compared against ``congruence_tol`` (default
+    1e-6 * (1 + sup |leading'|)).
     """
-    if not isinstance(trace.leading, SlowFunction):
-        raise ValueError("procedure 3 needs a catalog leading trace; sampled "
-                         "traces are taken by procedure 1, recover_time_factor")
     space = recover_space_factor(snapshot, mean, n_max)
     if space.report.zero_modes:
         raise ValueError(
@@ -525,21 +513,3 @@ def recover_both_factors(obs: MultiPointObservation, intervals: int = 2048,
     return BothFactorsRecovery(SineSeries.from_coefficients(amps * gauge), normalized,
                                _oscillation(obs.oscillating, g * gauge), psi, gauge,
                                _consistency(residual, consistency_tol, scale))
-
-
-# ---------------------------------------------------------------------------
-# finite differences for sampled observations
-# ---------------------------------------------------------------------------
-
-def derivative_from_samples(values: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order derivative of uniform samples (one-sided at the ends)."""
-    v = np.asarray(values, dtype=float)
-    if v.size < 5:
-        raise ValueError("need at least 5 samples for 4th-order stencils")
-    d = np.empty_like(v)
-    d[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12.0 * h)
-    d[0] = (-25 * v[0] + 48 * v[1] - 36 * v[2] + 16 * v[3] - 3 * v[4]) / (12.0 * h)
-    d[1] = (-3 * v[0] - 10 * v[1] + 18 * v[2] - 6 * v[3] + v[4]) / (12.0 * h)
-    d[-2] = (3 * v[-1] + 10 * v[-2] - 18 * v[-3] + 6 * v[-4] - v[-5]) / (12.0 * h)
-    d[-1] = (25 * v[-1] - 48 * v[-2] + 36 * v[-3] - 16 * v[-4] + 3 * v[-5]) / (12.0 * h)
-    return d

@@ -351,6 +351,7 @@ class TestTrace:
 class TestProblemValidation:
     @pytest.mark.parametrize("kwargs", [
         {"omega": 0.0}, {"omega": -1.0}, {"horizon": 0.0}, {"n_max": 0},
+        {"n_max": 2.5}, {"n_max": True},
     ])
     def test_bad_parameters_rejected(self, kwargs):
         base = {"envelope": REFERENCE_ENVELOPE, "factor": steady(1.0),

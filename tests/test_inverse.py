@@ -27,7 +27,6 @@ from osckit.inverse import (
     recover_time_factor,
     solve_amplitude_system,
     solve_snapshot_system,
-    derivative_from_samples,
 )
 
 from _oracles import snapshot_from_callable
@@ -225,30 +224,12 @@ class TestRecoverTimeFactor:
         assert mean_err < 5e-6
         assert profiles_match(got_osc, want_osc)
 
-    def test_sampled_leading_trace(self):
-        intervals = 2048
-        grid = np.linspace(0.0, 2.0, intervals + 1)
-        obs = TraceObservation(math.pi / 2.0, PHI0(grid), PHI2, horizon=2.0)
-        rec = recover_time_factor(obs, ENVELOPE, n_max=8, intervals=intervals)
-        assert np.max(np.abs(rec.mean_grid.values - grid)) < 1e-5
-
-    def test_sampled_leading_trace_matches_catalog_trace(self):
-        # only the 4th-order stencil derivative differs: 7.1e-13 measured
-        grid = np.linspace(0.0, 2.0, 2049)
-        want = recover_time_factor(TraceObservation(math.pi / 2.0, PHI0, PHI2, horizon=2.0),
-                                   ENVELOPE, n_max=8)
-        got = recover_time_factor(TraceObservation(math.pi / 2.0, PHI0(grid), PHI2,
-                                                   horizon=2.0), ENVELOPE, n_max=8)
-        assert np.array_equal(got.mean_grid.axes[0], want.mean_grid.axes[0])
-        assert np.max(np.abs(got.mean_grid.values - want.mean_grid.values)) < 1e-11
-
-    @pytest.mark.parametrize("samples, match", [
-        (np.ones(2049), "vanish at t = 0"),
-        (np.r_[0.0, np.full(2048, np.nan)], "finite"),
-        (np.r_[0.0, np.inf, np.zeros(2047)], "finite"),
+    @pytest.mark.parametrize("samples", [
+        np.ones(2049), np.r_[0.0, np.full(2048, np.nan)], np.r_[0.0, np.inf, np.zeros(2047)],
     ], ids=["nonzero_start", "nan", "inf"])
-    def test_sampled_leading_trace_validated(self, samples, match):
-        with pytest.raises(ValueError, match=match):
+    def test_sampled_leading_trace_validated(self, samples):
+        # samples are refused by type, whatever their values
+        with pytest.raises(TypeError, match="leading is not a SlowFunction"):
             TraceObservation(math.pi / 2.0, samples, PHI2, horizon=2.0)
 
     @pytest.mark.parametrize("intervals", [0, -1, 2.5, True])
@@ -257,6 +238,13 @@ class TestRecoverTimeFactor:
         obs = TraceObservation(math.pi / 2.0, PHI0, PHI2, horizon=2.0)
         with pytest.raises(ValueError, match="intervals"):
             recover_time_factor(obs, ENVELOPE, n_max=4, intervals=intervals)
+
+    @pytest.mark.parametrize("n_max", [0, 2.5, True])
+    def test_bad_mode_count_rejected(self, n_max):
+        # n_max = 0 would solve with the zero kernel
+        obs = TraceObservation(math.pi / 2.0, PHI0, PHI2, horizon=2.0)
+        with pytest.raises(ValueError, match="n_max"):
+            recover_time_factor(obs, ENVELOPE, n_max=n_max)
 
     def test_vanishing_envelope_trace_rejected(self):
         with pytest.raises(ValueError, match="bounded away"):
@@ -267,19 +255,6 @@ class TestRecoverTimeFactor:
         with pytest.raises(ValueError, match="vanish at t = 0"):
             TraceObservation(1.0, SlowFunction.constant(1.0),
                              FastProfile.zero(), horizon=1.0)
-
-
-class TestDerivativeFromSamples:
-    def test_fourth_order_on_polynomial(self):
-        t = np.linspace(0.0, 1.0, 101)
-        vals = t**4 - 2.0 * t**2
-        want = 4.0 * t**3 - 4.0 * t
-        got = derivative_from_samples(vals, float(t[1] - t[0]))
-        assert np.max(np.abs(got - want)) < 1e-10
-
-    def test_needs_five_samples(self):
-        with pytest.raises(ValueError):
-            derivative_from_samples(np.ones(4), 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +269,12 @@ class TestRecoverSpaceFactor:
         assert rec.report.status == "unique"
         assert abs(rec.envelope.coefficient(1)(0.0) - 1.0) < 1e-9
         assert abs(rec.envelope.coefficient(2)(0.0) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("n_max", [0, -1, 2.5, True])
+    def test_bad_mode_count_rejected(self, n_max):
+        # n_max = 0 would report an empty envelope as unique
+        with pytest.raises(ValueError, match="n_max"):
+            recover_space_factor(golden_snapshot(), LINEAR_MEAN, n_max=n_max)
 
     def test_zero_snapshot_zero_envelope(self):
         rec = recover_space_factor(SnapshotObservation(1.0, SineSeries({})),
@@ -405,13 +386,6 @@ class TestRecoverSpaceFactorAndOscillation:
         rec = recover_space_factor_and_oscillation(
             golden_snapshot(), trace_obs, LINEAR_MEAN, n_max=8)
         assert rec.initial_layer_mismatch < 1e-9
-
-    def test_sampled_leading_trace_rejected(self):
-        samples = PHI0(np.linspace(0.0, 2.0, 2049))
-        trace_obs = TraceObservation(math.pi / 2.0, samples, PHI2, horizon=2.0)
-        with pytest.raises(ValueError, match="procedure 1"):
-            recover_space_factor_and_oscillation(
-                golden_snapshot(), trace_obs, LINEAR_MEAN, n_max=8)
 
     def test_zero_weight_rejected(self):
         trace_obs = TraceObservation(math.pi / 2.0, PHI0, PHI2, horizon=2.0)
@@ -594,5 +568,19 @@ class TestObservationValidation:
 
     def test_sampled_leading_trace_rejected(self):
         samples = PHI0(np.linspace(0.0, 2.0, 2049))
-        with pytest.raises(TypeError, match="procedure 1"):
+        with pytest.raises(TypeError, match="leading is not a SlowFunction"):
             golden_observation(leading=samples)
+
+    @pytest.mark.parametrize("field, build", [
+        ("factor", lambda: HeatProblem(ENVELOPE, SlowFunction.constant(1.0), 10.0, 1.0)),
+        ("oscillating", lambda: TraceObservation(1.0, PHI0, np.zeros(3), 2.0)),
+        ("initial_layer",
+         lambda: TraceObservation(1.0, PHI0, PHI2, 2.0, initial_layer=np.zeros(3))),
+        ("profile", lambda: SnapshotObservation(1.0, {1: 1.0})),
+        ("oscillating", lambda: golden_observation(oscillating=np.zeros(3))),
+        ("interior_traces", lambda: golden_observation(interior_traces=(np.zeros(3),))),
+    ], ids=["heat-factor-slow", "trace-oscillating-array", "trace-initial-layer-array",
+            "snapshot-profile-dict", "window-oscillating-array", "window-interior-array"])
+    def test_field_of_other_type_named(self, field, build):
+        with pytest.raises(TypeError, match=f"{field} is not a"):
+            build()

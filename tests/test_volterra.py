@@ -65,6 +65,12 @@ class TestBuildKernel:
         with pytest.raises(ValueError):
             build_kernel(SineSeries({1: 1.0}), math.pi)
 
+    @pytest.mark.parametrize("n_max", [0, -1, 2.5, True])
+    def test_bad_mode_count_rejected(self, n_max):
+        # n_max = 0 would drop every mode into tail_bound
+        with pytest.raises(ValueError, match="n_max"):
+            build_kernel(SineSeries({1: 1.0}), 1.0, n_max)
+
 
 class TestSolve:
     def test_reference_equation_second_order_accuracy(self):
@@ -90,10 +96,8 @@ class TestSolve:
         assert np.max(np.abs(sol.values - np.exp(-sol.axes[0]))) < 1e-6
 
     def test_non_separable_kernel_rejected(self):
-        problem = replace(reference_problem(intervals=64),
-                          kernel=lambda t, s: np.ones_like(s))
         with pytest.raises(TypeError, match="Kernel"):
-            solve(problem)
+            replace(reference_problem(intervals=64), kernel=lambda t, s: np.ones_like(s))
 
     def test_discrete_residual_at_machine_level(self):
         problem = reference_problem(intervals=512)
@@ -128,10 +132,10 @@ class TestSolve:
             solve(problem)
 
     def test_non_finite_rhs_rejected(self):
-        base = reference_problem(intervals=64)
-        t = base.grid()
-        problem = replace(base, rhs=np.where(t > 1.0, np.nan, t))
-        with pytest.raises(ValueError, match="non-finite"):
+        # e^{800 t} overflows past t = 0.89 on [0, 2]
+        problem = replace(reference_problem(intervals=64),
+                          rhs=SlowFunction.monomial(1.0, 0, 800.0))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite rhs"):
             solve(problem)
 
     @pytest.mark.parametrize("field, value", [
@@ -142,23 +146,26 @@ class TestSolve:
         with pytest.raises(ValueError, match=field):
             replace(reference_problem(), **{field: value})
 
-    @pytest.mark.parametrize("field", ["diagonal", "rhs"])
-    def test_callable_data_rejected(self, field):
-        problem = replace(reference_problem(intervals=64),
-                          **{field: lambda t: np.ones_like(t)})
+    @pytest.mark.parametrize("field, value", [
+        pytest.param("diagonal", lambda t: np.ones_like(t), id="diagonal"),
+        pytest.param("rhs", lambda t: np.ones_like(t), id="rhs"),
+        pytest.param("rhs", np.ones(65), id="rhs-array"),
+    ])
+    def test_callable_data_rejected(self, field, value):
         with pytest.raises(TypeError, match=field):
-            solve(problem)
+            replace(reference_problem(intervals=64), **{field: value})
 
 
 def time_varying_problem(intervals, horizon=2.0, x0=1.3):
     """Trace equation of procedure 1 for an envelope whose coefficients vary
-    in time: diagonal f(x0, t), kernel from build_kernel, sampled rhs."""
+    in time: diagonal f(x0, t), kernel from build_kernel, and an rhs of
+    several rates and powers."""
     envelope = SineSeries({1: SlowFunction([(1.0, 0, 0.0), (0.3, 1, -0.5)]),
                            2: SlowFunction([(0.4, 0, -0.2)]),
                            3: SlowFunction([(-0.2, 0, 0.1), (0.05, 2, 0.0)])})
-    t = np.linspace(0.0, horizon, intervals + 1)
+    rhs = SlowFunction([(1.0, 0, 0.0), (0.5, 1, 0.0), (-0.3, 0, -3.0), (0.2, 2, -1.0)])
     return VolterraProblem(envelope.at_x(x0), build_kernel(envelope, x0),
-                           np.cos(3.0 * t) + 0.5 * t, horizon, intervals)
+                           rhs, horizon, intervals)
 
 
 def assert_matches_march(problem):
@@ -309,6 +316,15 @@ class TestSeparableResolvent:
         t = np.linspace(0.0, 2.0, 33)
         assert resolvent(t).tobytes() == (rhs(t) / 2.0).tobytes()
         assert resolvent.mode_integrals(t).shape == (0, t.size)
+
+    @pytest.mark.parametrize("field, g0, ns, coeffs", [
+        ("g0", math.nan, [1], [1.0]),
+        ("mode_ns", 1.0, [math.inf], [1.0]),
+        ("mode_coeffs", 1.0, [1], [math.nan]),
+    ])
+    def test_non_finite_input_named(self, field, g0, ns, coeffs):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SeparableResolvent(g0, ns, coeffs, SlowFunction.constant(1.0))
 
     def test_requires_constant_coefficients(self):
         problem = replace(reference_problem(),
