@@ -26,6 +26,7 @@ from .catalog import (
     SineSeries,
     SlowFunction,
     _duhamel_weights,
+    _require_count,
     duhamel_slow,
     duhamel_weight,
     sine_synthesis,
@@ -70,6 +71,9 @@ class LeadingTerm:
     envelope: SineSeries
     mean: SlowFunction
     n_max: int
+
+    def __post_init__(self):
+        _require_count("n_max", self.n_max)
 
     @property
     def modes(self) -> list[int]:
@@ -128,6 +132,9 @@ class InitialLayer:
     envelope: SineSeries
     level: float
     n_max: int
+
+    def __post_init__(self):
+        _require_count("n_max", self.n_max)
 
     @property
     def modes(self) -> list[int]:

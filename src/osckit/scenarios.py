@@ -360,13 +360,17 @@ def serialize_scenario(s: Scenario) -> dict:
 
 
 def _jsonable(obj):
-    """The one place a value becomes JSON data."""
+    """The one place a value becomes JSON data.  A float64 array stays an
+    array if 1-D, else becomes a list of its rows: ``_json_text`` and
+    ``_csv_text`` write it as a list of floats."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        if obj.dtype != np.float64 or obj.ndim == 0:
+            return obj.tolist()
+        return obj if obj.ndim == 1 else [_jsonable(row) for row in obj]
     if isinstance(obj, SlowFunction):
         return _jsonable(obj.terms)
     if isinstance(obj, FastProfile):
@@ -383,15 +387,27 @@ def _jsonable(obj):
 
 _FLOAT_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
+# From this many floats on, a list of floats is written by
+# ``_floattext.float_text``, below it by a join of ``float.__repr__``.  On
+# a smooth grid float_text took 1.02 times the join's time at 512 floats
+# and 0.93 times at 576 (2-core x86_64, Python 3.11, numpy 2.4), so each
+# list takes the faster writer; the trace of a forward solve (513 floats)
+# stays on the join.  ``_floattext`` is imported at the first long list:
+# its tables take a few milliseconds and 0.3 MB to build, which reports
+# without long lists never need.
+FLOAT_TEXT_CROSSOVER = 560
+
 
 def _json_text(obj, indent: str = "\n") -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)`` of a ``_jsonable`` value.
 
     The stdlib encoder turns to its pure-Python path when ``indent`` is set,
-    paying a generator step per float; here a list of floats is one
-    ``join`` of ``float.__repr__``.  Finite float reprs contain no ``n``, so
-    an ``n`` in the joined text means a nan or inf to be spelled as JSON's
-    ``NaN`` / ``Infinity`` tokens, item by item.
+    paying a generator step per float; here a 1-D float64 array, or a list
+    of floats, of ``FLOAT_TEXT_CROSSOVER`` or more items is one
+    ``float_text`` call, and a shorter one is one ``join`` of
+    ``float.__repr__``.  Finite float reprs contain no ``n``, so an ``n`` in
+    the joined text means a nan or inf to be spelled as JSON's ``NaN`` /
+    ``Infinity`` tokens, item by item.
     """
     inner = indent + "  "
     sep = "," + inner
@@ -401,10 +417,16 @@ def _json_text(obj, indent: str = "\n") -> str:
         items = (encode_basestring_ascii(k) + ": " + _json_text(v, inner)
                  for k, v in sorted(obj.items()))
         return "{" + inner + sep.join(items) + indent + "}"
-    if isinstance(obj, list):
-        if not obj:
+    if isinstance(obj, np.ndarray) and len(obj) < FLOAT_TEXT_CROSSOVER:
+        obj = obj.tolist()
+    if isinstance(obj, (list, np.ndarray)):
+        if not len(obj):
             return "[]"
-        if set(map(type, obj)) == {float}:
+        floats = isinstance(obj, np.ndarray) or set(map(type, obj)) == {float}
+        if floats and len(obj) >= FLOAT_TEXT_CROSSOVER:
+            from ._floattext import JSON_TOKENS, float_text
+            return "[" + inner + float_text(obj, (sep,), JSON_TOKENS) + indent + "]"
+        if floats:
             text = sep.join(map(float.__repr__, obj))
             if "n" not in text:
                 return "[" + inner + text + indent + "]"
@@ -636,30 +658,42 @@ def run(scenario: Scenario) -> RunReport:
 # so identical scenarios produce byte-identical files)
 # ---------------------------------------------------------------------------
 
-def _csv_rows(kind: str, r: dict) -> tuple[list[str], list[list]]:
-    """Columns and rows of a kind's table, read from the JSON results."""
+def _csv_columns(kind: str, r: dict) -> tuple[list[str], list]:
+    """Names and columns of a kind's table, read from the JSON results."""
     if kind in ("asymptotics", "convergence"):
         cols = ["omega", "residual_order1", "residual_order2",
                 "omega_times_residual2"]
         ladder = r["ladder"] if kind == "convergence" else [r]
-        return cols, [[row[c] for c in cols] for row in ladder]
+        return cols, [[row[c] for row in ladder] for c in cols]
     if kind == "forward":
         if "trace" in r:
-            tr = r["trace"]
-            return ["t", "value"], [[t, v] for t, v in zip(tr["t"], tr["values"])]
+            return ["t", "value"], [r["trace"]["t"], r["trace"]["values"]]
         return ["sup_norm"], [[r["sup_norm"]]]
     if kind in ("inverse1", "inverse4"):
-        mean = r["mean"]
-        return ["t", "mean"], [[t, v] for t, v in zip(mean["t"], mean["values"])]
+        return ["t", "mean"], [r["mean"]["t"], r["mean"]["values"]]
     if kind in ("inverse2", "inverse3"):
         env = r["envelope"]
-        rows = []
-        for n in sorted(env, key=int):
-            terms = env[n]
-            value = sum(c for c, m, g in terms if (m, g) == (0, 0.0))
-            rows.append([int(n), value])
-        return ["n", "coefficient"], rows
+        modes = sorted(env, key=int)
+        return ["n", "coefficient"], [
+            [int(n) for n in modes],
+            [sum(c for c, m, g in env[n] if (m, g) == (0, 0.0)) for n in modes]]
     raise ScenarioError(f"no CSV layout for kind {kind!r}")
+
+
+def _csv_text(cols: list[str], columns: list) -> str:
+    """The header, then one line per row, each line ending in a newline.
+    Float64 array columns of ``FLOAT_TEXT_CROSSOVER`` or more values in
+    all are one ``float_text`` call; other cells are ``repr`` of a float
+    and ``str`` of anything else."""
+    header = ",".join(cols) + "\n"
+    if all(isinstance(c, np.ndarray) for c in columns) \
+            and len(columns) * len(columns[0]) >= FLOAT_TEXT_CROSSOVER:
+        from ._floattext import REPR_TOKENS, float_text
+        seps = (",",) * (len(cols) - 1) + ("\n",)
+        return header + float_text(np.column_stack(columns), seps, REPR_TOKENS) + "\n"
+    rows = zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+    return header + "".join(",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+                            + "\n" for row in rows)
 
 
 def emit(report: RunReport, fmt: str, path: str) -> str:
@@ -670,12 +704,7 @@ def emit(report: RunReport, fmt: str, path: str) -> str:
     if fmt == "json":
         text = _json_text(payload) + "\n"
     elif fmt == "csv":
-        cols, rows = _csv_rows(kind, payload["results"])
-        lines = [",".join(cols)]
-        for row in rows:
-            lines.append(",".join(repr(v) if isinstance(v, float) else str(v)
-                                  for v in row))
-        text = "\n".join(lines) + "\n"
+        text = _csv_text(*_csv_columns(kind, payload["results"]))
     else:
         raise ScenarioError(f"unknown output format {fmt!r}")
     if path == "-":

@@ -17,13 +17,17 @@ the reference for ``catalog.exp_kernel_moment``; it forms its own exponentials,
 a real ``np.exp`` of the real exponent times a phase where there is an
 imaginary part.
 
-The last helpers are conveniences over library paths that only the tests
+The next helpers are conveniences over library paths that only the tests
 need: one mode's amplitude, a rate shift, a resolvent built from a Volterra
 problem, a snapshot sampled from a callable, and the time and space
 derivatives of the leading term on a grid.
+
+Last, the report writer keeps its join of ``float.__repr__`` per list of
+floats, the reference for the vectorized float text of ``osckit._floattext``.
 """
 
 import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 from scipy.integrate import quad
@@ -311,3 +315,47 @@ def time_derivative_grid(u0, x, t):
 def xx_derivative_grid(u0, x, t):
     """d^2 u0/dx^2 of a LeadingTerm on the grid."""
     return _leading_grid(u0, x, t, lambda n, t: -(n * n) * u0.mode_amplitude(n, t))
+
+
+# ---------------------------------------------------------------------------
+# report text
+# ---------------------------------------------------------------------------
+
+_FLOAT_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def report_json_text(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` of a report payload by
+    a join of ``float.__repr__`` per list of floats, an array taken as its
+    ``tolist()``: the reference for ``scenarios._json_text``, which writes
+    long float lists with ``osckit._floattext``."""
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (encode_basestring_ascii(k) + ": " + report_json_text(v, inner)
+                 for k, v in sorted(obj.items()))
+        return "{" + inner + sep.join(items) + indent + "}"
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        if set(map(type, obj)) == {float}:
+            text = sep.join(map(float.__repr__, obj))
+            if "n" not in text:
+                return "[" + inner + text + indent + "]"
+        return "[" + inner + sep.join(report_json_text(v, inner) for v in obj) + indent + "]"
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _FLOAT_TOKENS.get(text, text)
+    raise TypeError(f"cannot write {obj!r}")

@@ -184,6 +184,17 @@ class TestStructuralChecks:
             fd = central_derivative(lambda s: u0(float(x[i]), s), float(t[i]))
             assert abs(dudt[i, i] - fd) < 1e-7
 
+    @pytest.mark.parametrize("n_max", [0, 2.5, True])
+    @pytest.mark.parametrize("build", [
+        lambda n_max: leading_term(ENVELOPE, LINEAR_MEAN, n_max),
+        lambda n_max: initial_layer(ENVELOPE, SINE_OSC, n_max),
+        lambda n_max: TwoTermExpansion.build(ENVELOPE, LINEAR_MEAN, SINE_OSC, n_max),
+    ], ids=["leading_term", "initial_layer", "expansion"])
+    def test_bad_mode_count_rejected(self, build, n_max):
+        # n_max = 0 would keep no mode and evaluate to zero
+        with pytest.raises(ValueError, match="n_max"):
+            build(n_max)
+
     def test_components_vanish_at_walls(self):
         expansion = TwoTermExpansion.build(ENVELOPE, LINEAR_MEAN, SINE_OSC)
         t = np.linspace(0.0, 1.0, 9)

@@ -14,10 +14,13 @@ from osckit.catalog import FastProfile, SlowFunction, SourceFactor, duhamel_weig
 from osckit.cli import main
 from osckit.forward import HeatProblem
 from osckit.scenarios import (
+    FLOAT_TEXT_CROSSOVER,
     KINDS,
     READS,
     Scenario,
     ScenarioError,
+    _csv_text,
+    _jsonable,
     builtin_names,
     builtin_scenario,
     emit,
@@ -27,7 +30,7 @@ from osckit.scenarios import (
     serialize_scenario,
 )
 
-from _oracles import exp_kernel_moment_40
+from _oracles import exp_kernel_moment_40, report_json_text
 
 
 # sha256 of the JSON and CSV reports of each built-in, recorded on numpy
@@ -100,6 +103,35 @@ def inverse2_payload(psi, **params):
         "functions": {
             "r0": {"slow": [[1.0, 1, 0.0]]},
             "psi": {"series": {str(n): [[v, 0, 0.0]] for n, v in psi.items()}},
+        },
+    }
+
+
+def reconstruct_inverse1_payload(grid=2**15):
+    """Procedure 1 as the benchmark's reconstruct workload poses it: a
+    three-mode constant envelope, a mean r0 = s (e^{g t} + b t) with
+    r0(1) = 1, a two-harmonic oscillation, and the exact traces at x0."""
+    amps = {1: 0.9, 2: -0.2, 3: 0.07}
+    g, b, x0 = -0.3, 0.6, 1.3
+    scale = 1.0 / (math.exp(g) + b)
+
+    def weight(n):  # int_0^t e^{-n^2 (t-s)} r0(s) ds
+        n2 = float(n * n)
+        c0, c1 = scale / (g + n2), scale * b
+        return [[c0, 0, g], [-c0, 0, -n2], [c1 / n2, 1, 0.0],
+                [-c1 / n2**2, 0, 0.0], [c1 / n2**2, 0, -n2]]
+
+    env_x0 = sum(a * math.sin(n * x0) for n, a in amps.items())
+    phi2 = [{"k": k, "cos": [[-bk / k * env_x0, 0, 0.0]], "sin": [[ak / k * env_x0, 0, 0.0]]}
+            for k, ak, bk in ((1, 0.4, -0.7), (2, -0.5, 0.25))]
+    return {
+        "kind": "inverse1",
+        "params": {"x0": x0, "T": 2.0, "grid": grid},
+        "functions": {
+            "f": {"series": {str(n): [[a, 0, 0.0]] for n, a in amps.items()}},
+            "phi0": {"slow": [[a * math.sin(n * x0) * c, m, r]
+                              for n, a in amps.items() for c, m, r in weight(n)]},
+            "phi2": {"fast": phi2},
         },
     }
 
@@ -616,6 +648,26 @@ class TestEmit:
         lines = text.strip().splitlines()
         assert lines[0] == "t,mean"
         assert len(lines) == 2050
+
+    def test_csv_long_float_columns_match_repr(self):
+        t = np.linspace(0.0, 2.0, 2 * FLOAT_TEXT_CROSSOVER + 3)
+        mean = np.sin(7.0 * t) * 10.0 ** np.arange(-20, t.size - 20)[::-1].clip(-30, 30)
+        mean[[0, 5, 6, 7, -1]] = [-0.0, math.nan, math.inf, -math.inf, 0.0]
+        text = _csv_text(["t", "mean"], [t, mean])
+        assert text == "t,mean\n" + "".join(
+            f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), mean.tolist()))
+
+    def test_reconstruct_report_matches_repr_join_writer(self, tmp_path):
+        # 2^15 + 1 grid points of t and of the mean, written by
+        # osckit._floattext, against the join of float.__repr__
+        scenario = parse_scenario_dict(reconstruct_inverse1_payload())
+        report = run(scenario)
+        text = emit(report, "json", str(tmp_path / "r.json"))
+        payload = _jsonable({"kind": "inverse1", "results": report.results,
+                             "flags": report.flags})
+        payload["scenario"] = serialize_scenario(scenario)
+        assert len(payload["results"]["mean"]["t"]) == 2**15 + 1
+        assert text == report_json_text(payload) + "\n"
 
 
 class TestCommandLine:

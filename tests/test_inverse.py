@@ -162,6 +162,12 @@ class TestImpliedInitialLayer:
         with pytest.raises(ValueError):
             implied_initial_layer(PHI2, SineSeries({2: 1.0}), math.pi / 2.0)
 
+    @pytest.mark.parametrize("n_max", [0, 2.5, True])
+    def test_bad_mode_count_rejected(self, n_max):
+        # n_max = 0 would return the zero layer
+        with pytest.raises(ValueError, match="n_max"):
+            implied_initial_layer(PHI2, ENVELOPE, math.pi / 2.0, n_max=n_max)
+
 
 # ---------------------------------------------------------------------------
 # mode weights

@@ -32,6 +32,7 @@ from osckit.catalog import (
 )
 from osckit.forward import HeatProblem, mode_amplitudes
 from osckit.scenarios import (
+    FLOAT_TEXT_CROSSOVER,
     Scenario,
     _json_text,
     parse_scenario_dict,
@@ -385,11 +386,22 @@ json_floats = st.one_of(st.floats(), edge_floats)
 json_text = st.text(st.sampled_from("az\x00\x1f\"\\\n\t\x7f\xe9\u03c9\u2028\U0001f600"),
                     max_size=6)
 scalars = st.one_of(st.none(), st.booleans(), st.integers(), json_floats, json_text)
+# Grids of 40-200 floats take the join of float.__repr__; repeats of them
+# reach 1-3 times FLOAT_TEXT_CROSSOVER and take osckit._floattext.
 finite_grids = st.lists(st.floats(allow_nan=False, allow_infinity=False),
                         min_size=40, max_size=200)
-grids = st.one_of(finite_grids, st.builds(
-    lambda items, where, bad: items[:where] + [bad] + items[where:],
-    finite_grids, st.integers(0, 200), st.sampled_from([math.nan, math.inf, -math.inf])))
+long_grids = st.builds(lambda items, size: (items * (size // len(items) + 1))[:size],
+                       finite_grids, st.integers(FLOAT_TEXT_CROSSOVER, 3 * FLOAT_TEXT_CROSSOVER))
+
+
+def with_non_finite(grid_lists, top: int):
+    return st.builds(lambda items, where, bad: items[:where] + [bad] + items[where:],
+                     grid_lists, st.integers(0, top),
+                     st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+grids = st.one_of(finite_grids, long_grids, with_non_finite(finite_grids, 200),
+                  with_non_finite(long_grids, 3 * FLOAT_TEXT_CROSSOVER))
 json_values = st.recursive(
     st.one_of(scalars, grids, st.lists(scalars, max_size=6), st.just([]), st.just({})),
     lambda children: st.one_of(st.lists(children, max_size=4),
